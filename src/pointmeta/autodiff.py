@@ -36,21 +36,6 @@ def _active_tape():
     return stack[-1] if stack else None
 
 
-class _push_tape:
-    """Make ``tape`` active for a block; ``None`` suppresses recording."""
-
-    def __init__(self, tape):
-        self.tape = tape
-
-    def __enter__(self):
-        _stack().append(self.tape)
-        return self.tape
-
-    def __exit__(self, *exc):
-        _stack().pop()
-        return False
-
-
 class Tape:
     """Ordered record of operations.
 
@@ -503,7 +488,11 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
 
     grads: dict[int, Tensor] = {id(loss): Tensor(np.ones((), dtype=loss.data.dtype))}
     nodes = list(tape.nodes)
-    with _push_tape(tape if create_graph else None):
+    # record the backward ops on the same tape (create_graph) or, with None
+    # on top of the stack, nowhere
+    stack = _stack()
+    stack.append(tape if create_graph else None)
+    try:
         for node in reversed(nodes):
             g = grads.get(id(node))
             if g is None or node._vjp is None:
@@ -513,6 +502,8 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
                     continue
                 held = grads.get(id(parent))
                 grads[id(parent)] = pg if held is None else add(held, pg)
+    finally:
+        stack.pop()
 
     result: GradientMap = {}
     for name, tensor in wrt.items():

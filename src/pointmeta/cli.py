@@ -153,29 +153,39 @@ def cmd_ingest(args) -> int:
 # pretrain
 
 
+def _field(cfg: dict, path: str, kind, default):
+    """Read ``section.key`` from a run config and cast it with ``kind``."""
+    section, key = path.split(".")
+    value = cfg.get(section, {}).get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"run config {path}: cannot read {value!r} as {kind.__name__}") from exc
+
+
 def _parse_run_config(cfg: dict):
     try:
         data = cfg["data"]
         root = data["root"]
     except KeyError as exc:
         raise ConfigError(f"run config missing key: {exc}") from exc
-    episode = cfg.get("episode", {})
-    spec = EpisodeSpec(
-        ways=int(episode.get("ways", 2)),
-        shots=int(episode.get("shots", 6)),
-        query_multiplier=int(episode.get("queries", 1)),
-        category_mode=episode.get("category_mode", "room_type"),
-    )
     meta_cfg = cfg.get("meta", {})
+    if "collaborative" in meta_cfg:
+        raise ConfigError("run config meta.collaborative is no longer read; set meta.tasks_per_batch instead")
+    spec = EpisodeSpec(
+        ways=_field(cfg, "episode.ways", int, 2),
+        shots=_field(cfg, "episode.shots", int, 6),
+        query_multiplier=_field(cfg, "episode.queries", int, 1),
+        category_mode=cfg.get("episode", {}).get("category_mode", "room_type"),
+    )
     meta = MetaConfig(
-        alpha=float(meta_cfg.get("alpha", 1e-3)),
-        beta=float(meta_cfg.get("beta", 1e-3)),
-        inner_steps=int(meta_cfg.get("inner_steps", 1)),
-        tasks_per_batch=int(meta_cfg.get("tasks_per_batch", 1)),
+        alpha=_field(cfg, "meta.alpha", float, 1e-3),
+        beta=_field(cfg, "meta.beta", float, 1e-3),
+        inner_steps=_field(cfg, "meta.inner_steps", int, 1),
+        tasks_per_batch=_field(cfg, "meta.tasks_per_batch", int, 1),
         gradient_mode=meta_cfg.get("gradient_mode", "first_order"),
-        collaborative=bool(meta_cfg.get("collaborative", True)),
-        epochs=int(meta_cfg.get("epochs", 1)),
-        steps_per_epoch=int(meta_cfg.get("steps_per_epoch", 0)),
+        epochs=_field(cfg, "meta.epochs", int, 1),
+        steps_per_epoch=_field(cfg, "meta.steps_per_epoch", int, 0),
         phase_betas=tuple(meta_cfg["phase_betas"]) if meta_cfg.get("phase_betas") else None,
     )
     return root, data, spec, meta, cfg.get("model", {}), cfg.get("seeds", {})
@@ -205,7 +215,7 @@ def _run_pretrain(areas, vocab, spec, meta, model_cfg, data_cfg, seeds, out: Pat
     points = int(data_cfg.get("points_per_block", 1024))
     model = _model_config(model_cfg, num_classes=len(vocab), points_per_block=points)
     index = index_categories(areas, mode=spec.category_mode, points_per_block=points)
-    needed = meta.epochs * meta.steps_per_epoch * meta.batch_size
+    needed = meta.epochs * meta.steps_per_epoch * meta.tasks_per_batch
     dist = build_task_distribution(index, spec, count=needed, seed=int(seeds.get("tasks", 0)))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -315,11 +325,10 @@ def cmd_adapt_eval(args) -> int:
 def cmd_cross_validate(args) -> int:
     cfg = _load_json(args.config)
     root, data_cfg, spec, meta, model_cfg, seeds = _parse_run_config(cfg)
-    eval_cfg = cfg.get("eval", {})
-    episodes = int(eval_cfg.get("episodes", 20))
-    eval_beta = float(eval_cfg.get("beta", meta.beta))
-    eval_steps = int(eval_cfg.get("inner_steps", meta.inner_steps))
-    eval_seed = int(eval_cfg.get("seed", 0))
+    episodes = _field(cfg, "eval.episodes", int, 20)
+    eval_beta = _field(cfg, "eval.beta", float, meta.beta)
+    eval_steps = _field(cfg, "eval.inner_steps", int, meta.inner_steps)
+    eval_seed = _field(cfg, "eval.seed", int, 0)
     areas, vocab = load_dataset(root)
     points = int(data_cfg.get("points_per_block", 1024))
     out = Path(args.out)

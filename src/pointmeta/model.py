@@ -220,27 +220,28 @@ def save_checkpoint(path, config: PointNetConfig, params: ParamStore) -> None:
 
 def load_checkpoint(path) -> tuple[PointNetConfig, ParamStore]:
     with open(path, "rb") as fh:
-        first = fh.readline().decode("ascii").split()
+        first = fh.readline().decode("ascii", errors="replace").split()
         if len(first) != 3 or first[0] != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
         if first[1] != f"v{CHECKPOINT_VERSION}":
             raise ConfigError(f"{path}: unsupported checkpoint version {first[1]}")
-        header = json.loads(fh.read(int(first[2])).decode("utf-8"))
-        cfg = header["config"]
-        cfg["mlp1_widths"] = tuple(cfg["mlp1_widths"])
-        cfg["mlp2_widths"] = tuple(cfg["mlp2_widths"])
-        cfg["seg_head_widths"] = tuple(cfg["seg_head_widths"])
-        config = PointNetConfig(**cfg)
-        little = "<f4" if header["dtype"] == "float32" else "<f8"
+        try:
+            # ValueError covers a non-integer length and bad UTF-8 or JSON
+            header = json.loads(fh.read(int(first[2])).decode("utf-8"))
+            config = PointNetConfig(**header["config"])
+            dtype, entries = header["dtype"], header["params"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from exc
+        little = "<f4" if dtype == "float32" else "<f8"
         itemsize = np.dtype(little).itemsize
         arrays = {}
-        for entry in header["params"]:
+        for entry in entries:
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * itemsize)
             if len(raw) != count * itemsize:
                 raise ConfigError(f"{path}: truncated parameter data for {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(raw, dtype=little).reshape(shape).astype(
-                np.float32 if header["dtype"] == "float32" else np.float64
+                np.float32 if dtype == "float32" else np.float64
             )
     return config, ParamStore(arrays)

@@ -178,7 +178,7 @@ def build_task_distribution(index: CategoryIndex, spec: EpisodeSpec, count: int,
     return TaskDistribution(index=index, spec=spec, count=count, seed=seed)
 
 
-def write_manifest(episodes, spec: EpisodeSpec, seed: int, path) -> None:
+def write_episode_manifest(episodes, spec: EpisodeSpec, seed: int, path) -> None:
     """Record (room, block, resample-seed) identities so a run can be replayed."""
 
     def entry(sample: BlockSample):

@@ -45,7 +45,6 @@ class MetaConfig:
     inner_steps: int = 1
     tasks_per_batch: int = 1
     gradient_mode: str = "first_order"
-    collaborative: bool = True
     epochs: int = 1
     steps_per_epoch: int = 0
     phase_betas: tuple[float, ...] | None = None  # optional decay schedule
@@ -70,10 +69,6 @@ class MetaConfig:
         # contiguous phases of equal length (the last phase absorbs the rest)
         per_phase = max(self.epochs // len(self.phase_betas), 1)
         return self.phase_betas[min(epoch // per_phase, len(self.phase_betas) - 1)]
-
-    @property
-    def batch_size(self) -> int:
-        return self.tasks_per_batch if self.collaborative else 1
 
 
 @dataclass
@@ -125,54 +120,28 @@ def inner_adapt(theta: ParamStore, task, beta: float, steps: int = 1) -> ParamSt
     return phi if phi is not theta else theta.copy()
 
 
-def query_loss(phi: ParamStore, task) -> float:
-    return task.query_loss(phi.tensors()).item()
+def meta_gradient(theta: ParamStore, tasks, config: MetaConfig) -> tuple[dict[str, np.ndarray], float]:
+    """Gradient of the batch-averaged query loss with respect to theta, and that loss.
 
-
-def collaborative_query_loss(theta: ParamStore, tasks, beta: float, steps: int = 1) -> float:
-    """Mean query loss over tasks, each adapted from the shared theta."""
+    Each task gets its own tape.  First order starts the tape at the adapted
+    phi, so the query gradient ignores how phi depends on theta; second order
+    starts it at theta and records the inner steps with ``create_graph``.
+    """
     if not tasks:
         raise ConfigError("need at least one task")
-    losses = [query_loss(inner_adapt(theta, task, beta, steps), task) for task in tasks]
-    return float(np.mean(losses))
-
-
-def _task_gradient(theta: ParamStore, task, config: MetaConfig) -> tuple[dict, float]:
-    """Meta-gradient of one task's query loss w.r.t. theta, plus the loss."""
-    if config.gradient_mode == "first_order":
-        phi = inner_adapt(theta, task, config.beta, config.inner_steps)
-        with Tape() as tape:
-            tensors = phi.tensors()
-            loss = task.query_loss(tensors)
-            grads = backward(loss, tape, tensors)
-        return grads, loss.item()
-
-    with Tape() as tape:
-        tensors = theta.tensors()
-        current = tensors
-        for _ in range(config.inner_steps):
-            support = task.support_loss(current)
-            inner_grads = backward(support, tape, current, create_graph=True)
-            current = {n: current[n] - config.beta * inner_grads[n] for n in current}
-        loss = task.query_loss(current)
-        grads = backward(loss, tape, tensors)
-    return grads, loss.item()
-
-
-def meta_gradient(theta: ParamStore, tasks, config: MetaConfig) -> dict[str, np.ndarray]:
-    """Gradient of the batch-averaged query loss with respect to theta."""
-    grads, _ = _meta_gradient_with_loss(theta, tasks, config)
-    return grads
-
-
-def _meta_gradient_with_loss(theta, tasks, config) -> tuple[dict[str, np.ndarray], float]:
-    if not tasks:
-        raise ConfigError("need at least one task")
+    second_order = config.gradient_mode == "second_order"
     total: dict[str, np.ndarray] = {}
     losses = []
     for task in tasks:
-        grads, loss = _task_gradient(theta, task, config)
-        losses.append(loss)
+        start = theta if second_order else inner_adapt(theta, task, config.beta, config.inner_steps)
+        with Tape() as tape:
+            leaves = current = start.tensors()
+            for _ in range(config.inner_steps if second_order else 0):
+                inner_grads = backward(task.support_loss(current), tape, current, create_graph=True)
+                current = {n: current[n] - config.beta * inner_grads[n] for n in current}
+            loss = task.query_loss(current)
+            grads = backward(loss, tape, leaves)
+        losses.append(loss.item())
         for name, g in grads.items():
             arr = grad_array(g)
             total[name] = arr.copy() if name not in total else total[name] + arr
@@ -194,7 +163,7 @@ class TrainState:
 
 def meta_step(state: TrainState, tasks, config: MetaConfig) -> TrainState:
     """One outer update; functional, the input state is untouched."""
-    grads, loss = _meta_gradient_with_loss(state.theta, tasks, config)
+    grads, loss = meta_gradient(state.theta, tasks, config)
     if not math.isfinite(loss):
         raise DivergenceError(state.step, f"query loss became {loss}")
     theta = sgd_step(state.theta, grads, config.alpha)
@@ -219,7 +188,7 @@ def pretrain(
     and after every epoch; the CLI uses it to write checkpoint files.  On
     divergence the exception carries the last good state.
     """
-    total = config.epochs * config.steps_per_epoch * config.batch_size
+    total = config.epochs * config.steps_per_epoch * config.tasks_per_batch
     if len(distribution) < total:
         raise ConfigError(
             f"schedule needs {total} episodes but the distribution only has {len(distribution)}"
@@ -232,8 +201,8 @@ def pretrain(
     for epoch in range(config.epochs):
         epoch_config = replace(config, beta=config.beta_for_epoch(epoch))
         for _ in range(config.steps_per_epoch):
-            episodes = [distribution[cursor + i] for i in range(config.batch_size)]
-            cursor += config.batch_size
+            episodes = [distribution[cursor + i] for i in range(config.tasks_per_batch)]
+            cursor += config.tasks_per_batch
             tasks = [SegmentationTask(ep, model) for ep in episodes]
             try:
                 new_state = meta_step(state, tasks, epoch_config)

@@ -111,7 +111,7 @@ def test_criterion_2_analytic_maml_oracle():
             }
             for mode, want in expected.items():
                 config = MetaConfig(alpha=0.1, beta=beta, gradient_mode=mode)
-                got = float(meta_gradient(theta, [QuadraticTask(a, b)], config)["w"])
+                got = float(meta_gradient(theta, [QuadraticTask(a, b)], config)[0]["w"])
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-9), (mode, a, b, w0, beta)
 
 

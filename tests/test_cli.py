@@ -140,6 +140,24 @@ def test_pretrain_missing_data_path(tmp_path):
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) in (2, 5)
 
 
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("episode", "ways", "two", "episode.ways"),
+        ("meta", "alpha", [1e-3], "meta.alpha"),
+        ("meta", "collaborative", False, "tasks_per_batch"),
+    ],
+)
+def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):
+    cfg = json.loads(json.dumps(RUN_CONFIG))
+    cfg["data"]["root"] = str(dataset)
+    cfg[section][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_pretrain_divergence_exit_code(dataset, tmp_path):
     cfg = json.loads(json.dumps(RUN_CONFIG))
     cfg["data"]["root"] = str(dataset)
@@ -235,6 +253,34 @@ def test_adapt_eval_capacity_error(dataset, pretrained, tmp_path):
         ]
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: blob[:40],  # truncated JSON header
+        lambda blob: b"\xff" + blob,  # non-ASCII first line
+        lambda blob: blob.replace(b"\n", b"x\n", 1),  # non-integer header length
+        lambda blob: blob.replace(b'"config"', b'"konfig"', 1),  # missing config
+        lambda blob: blob.replace(b'"dtype"', b'"dtipe"', 1),  # missing dtype
+        lambda blob: blob.replace(b'"params"', b'"parems"', 1),  # missing params
+    ],
+    ids=["prefix40", "non_ascii", "bad_length", "no_config", "no_dtype", "no_params"],
+)
+def test_adapt_eval_malformed_checkpoint_usage_error(dataset, pretrained, tmp_path, capsys, corrupt):
+    broken = tmp_path / "broken_ckpt"
+    broken.write_bytes(corrupt((pretrained / "ckpt_epoch2").read_bytes()))
+    code = main(
+        [
+            "adapt-eval",
+            "--checkpoint", str(broken),
+            "--data", str(dataset),
+            "--episodes", "1",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert code == 2
+    assert str(broken) in capsys.readouterr().err
 
 
 def test_export_ply(dataset, pretrained, tmp_path):

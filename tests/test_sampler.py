@@ -9,7 +9,7 @@ from pointmeta.sampler import (
     index_categories,
     replay_episode,
     sample_episode,
-    write_manifest,
+    write_episode_manifest,
 )
 
 
@@ -158,7 +158,7 @@ def test_manifest_roundtrip(tmp_path, synth_area):
     dist = build_task_distribution(index, spec, count=3, seed=5)
     episodes = list(dist)
     path = tmp_path / "episodes.json"
-    write_manifest(episodes, spec, seed=5, path=path)
+    write_episode_manifest(episodes, spec, seed=5, path=path)
     manifest = json.loads(path.read_text())
     assert len(manifest["episodes"]) == 3
     replayed = replay_episode(index, manifest["episodes"][1])

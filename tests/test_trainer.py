@@ -12,12 +12,10 @@ from pointmeta.trainer import (
     SegmentationTask,
     TrainState,
     adapt_and_eval,
-    collaborative_query_loss,
     inner_adapt,
     meta_gradient,
     meta_step,
     pretrain,
-    query_loss,
 )
 
 TINY_MODEL = PointNetConfig(
@@ -37,6 +35,11 @@ def config_with(**kwargs):
     base = dict(alpha=0.1, beta=0.25, inner_steps=1, tasks_per_batch=1)
     base.update(kwargs)
     return MetaConfig(**base)
+
+
+def mean_adapted_query_loss(theta, tasks, beta):
+    """Mean query loss over tasks, each adapted from the shared theta."""
+    return float(np.mean([task.query_loss(inner_adapt(theta, task, beta).tensors()).item() for task in tasks]))
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +77,7 @@ def test_inner_adapt_does_not_mutate_theta():
 
 def test_query_loss_quadratic():
     phi = quad_theta(0.5)
-    assert query_loss(phi, QuadraticTask(a=1.0, b=2.0)) == pytest.approx(2.25)
+    assert QuadraticTask(a=1.0, b=2.0).query_loss(phi.tensors()).item() == pytest.approx(2.25)
 
 
 def test_query_loss_uniform_logits_is_log_c():
@@ -89,38 +92,38 @@ def test_query_loss_uniform_logits_is_log_c():
 
             return cross_entropy(forward(TINY_MODEL, params, features), labels)
 
-    assert query_loss(zeros, OneBlock()) == pytest.approx(np.log(TINY_MODEL.num_classes), rel=1e-5)
+    assert OneBlock().query_loss(zeros.tensors()).item() == pytest.approx(np.log(TINY_MODEL.num_classes), rel=1e-5)
 
 
 def test_collaborative_loss_single_task_degenerates():
     task = QuadraticTask(a=1.0, b=2.0)
-    single = collaborative_query_loss(quad_theta(0.0), [task], beta=0.25)
-    direct = query_loss(inner_adapt(quad_theta(0.0), task, 0.25), task)
+    single = mean_adapted_query_loss(quad_theta(0.0), [task], beta=0.25)
+    direct = task.query_loss(inner_adapt(quad_theta(0.0), task, 0.25).tensors()).item()
     assert single == pytest.approx(direct)
-    doubled = collaborative_query_loss(quad_theta(0.0), [task, task], beta=0.25)
+    doubled = mean_adapted_query_loss(quad_theta(0.0), [task, task], beta=0.25)
     assert doubled == pytest.approx(single)
 
 
 def test_collaborative_loss_two_quadratics():
     # both adapt to phi = 0.5; (0.5-2)^2 = 2.25 and (0.5-3)^2 = 6.25
     tasks = [QuadraticTask(a=1.0, b=2.0), QuadraticTask(a=1.0, b=3.0)]
-    value = collaborative_query_loss(quad_theta(0.0), tasks, beta=0.25)
+    value = mean_adapted_query_loss(quad_theta(0.0), tasks, beta=0.25)
     assert value == pytest.approx(4.25)
 
 
 def test_meta_gradient_first_order_closed_form():
-    grads = meta_gradient(quad_theta(0.0), [QuadraticTask(1.0, 2.0)], config_with(gradient_mode="first_order"))
+    grads, _ = meta_gradient(quad_theta(0.0), [QuadraticTask(1.0, 2.0)], config_with(gradient_mode="first_order"))
     assert grads["w"] == pytest.approx(-3.0, rel=1e-12)
 
 
 def test_meta_gradient_second_order_closed_form():
-    grads = meta_gradient(quad_theta(0.0), [QuadraticTask(1.0, 2.0)], config_with(gradient_mode="second_order"))
+    grads, _ = meta_gradient(quad_theta(0.0), [QuadraticTask(1.0, 2.0)], config_with(gradient_mode="second_order"))
     assert grads["w"] == pytest.approx(-1.5, rel=1e-12)
 
 
 def test_meta_gradient_modes_agree_at_beta_zero():
     for mode in ("first_order", "second_order"):
-        grads = meta_gradient(quad_theta(0.0), [QuadraticTask(1.0, 2.0)], config_with(beta=0.0, gradient_mode=mode))
+        grads, _ = meta_gradient(quad_theta(0.0), [QuadraticTask(1.0, 2.0)], config_with(beta=0.0, gradient_mode=mode))
         assert grads["w"] == pytest.approx(-4.0, rel=1e-12)
 
 
@@ -130,7 +133,7 @@ def test_meta_gradient_random_quadratics_match_closed_form(mode):
     for _ in range(25):
         a, b, w0 = rng.normal(size=3) * 2
         beta = float(rng.uniform(0.01, 0.45))
-        grads = meta_gradient(quad_theta(w0), [QuadraticTask(a, b)], config_with(beta=beta, gradient_mode=mode))
+        grads, _ = meta_gradient(quad_theta(w0), [QuadraticTask(a, b)], config_with(beta=beta, gradient_mode=mode))
         phi = w0 - beta * 2 * (w0 - a)
         expected = 2 * (phi - b) if mode == "first_order" else (1 - 2 * beta) * 2 * (phi - b)
         assert grads["w"] == pytest.approx(expected, rel=1e-6)
@@ -138,9 +141,17 @@ def test_meta_gradient_random_quadratics_match_closed_form(mode):
 
 def test_meta_gradient_batch_order_invariant():
     tasks = [QuadraticTask(1.0, 2.0), QuadraticTask(0.5, -1.0), QuadraticTask(-2.0, 3.0)]
-    fwd = meta_gradient(quad_theta(0.3), tasks, config_with())
-    rev = meta_gradient(quad_theta(0.3), tasks[::-1], config_with())
+    fwd, _ = meta_gradient(quad_theta(0.3), tasks, config_with())
+    rev, _ = meta_gradient(quad_theta(0.3), tasks[::-1], config_with())
     assert fwd["w"] == pytest.approx(rev["w"], rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["first_order", "second_order"])
+def test_meta_gradient_returns_mean_query_loss(mode):
+    # both quadratics adapt to phi = 0.5 in one step, whichever the mode
+    tasks = [QuadraticTask(a=1.0, b=2.0), QuadraticTask(a=1.0, b=3.0)]
+    _, loss = meta_gradient(quad_theta(0.0), tasks, config_with(gradient_mode=mode))
+    assert loss == mean_adapted_query_loss(quad_theta(0.0), tasks, beta=0.25) == pytest.approx(4.25)
 
 
 def test_meta_step_alpha_zero_like_update():
@@ -173,7 +184,7 @@ def test_segmentation_task_second_order_runs(small_distribution):
     episode = small_distribution[0]
     config = config_with(alpha=1e-3, beta=1e-2, gradient_mode="second_order")
     theta = init_params(TINY_MODEL, seed=0)
-    grads = meta_gradient(theta, [SegmentationTask(episode, TINY_MODEL)], config)
+    grads, _ = meta_gradient(theta, [SegmentationTask(episode, TINY_MODEL)], config)
     assert set(grads) == set(theta.keys())
     assert all(np.isfinite(g).all() for g in grads.values())
 
