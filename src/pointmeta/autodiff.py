@@ -335,43 +335,27 @@ def max_over_points(a) -> tuple[Tensor, np.ndarray]:
     return _record(out, (a,), vjp), argmax
 
 
-def permute_rows(a, order) -> Tensor:
-    """Reorder the rows of a [P, F] tensor; exactly linear, exactly invertible."""
+def take_rows(a, rows) -> Tensor:
+    """Rows ``rows`` of ``a``: a slice, or an index array without repeats."""
     a = _lift(a)
-    order = np.asarray(order)
-    out = Tensor(a.data[order])
-    inverse = np.argsort(order)
+    out = Tensor(np.ascontiguousarray(a.data[rows]))
+    n_rows = a.shape[0]
 
     def vjp(g):
-        return (permute_rows(g, inverse),)
+        return (scatter_rows(g, rows, n_rows),)
 
     return _record(out, (a,), vjp)
 
 
-def concat_cols(a, b) -> Tensor:
-    a, b = _lift_pair(a, b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise DimensionError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
-    split = a.shape[1]
-
-    def vjp(g):
-        return slice_cols(g, 0, split), slice_cols(g, split, out.shape[1])
-
-    return _record(out, (a, b), vjp)
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
+def scatter_rows(a, rows, n_rows: int) -> Tensor:
+    """``n_rows`` rows of zeros with ``a`` written at ``rows``; the adjoint of take_rows."""
     a = _lift(a)
-    out = Tensor(np.ascontiguousarray(a.data[:, start:stop]))
+    data = np.zeros((n_rows, *a.shape[1:]), dtype=a.data.dtype)
+    data[rows] = a.data
+    out = Tensor(data)
 
     def vjp(g):
-        pieces = g
-        if start > 0:
-            pieces = concat_cols(Tensor(np.zeros((a.shape[0], start), a.data.dtype)), pieces)
-        if stop < a.shape[1]:
-            pieces = concat_cols(pieces, Tensor(np.zeros((a.shape[0], a.shape[1] - stop), a.data.dtype)))
-        return (pieces,)
+        return (take_rows(g, rows),)
 
     return _record(out, (a,), vjp)
 

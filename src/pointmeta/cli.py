@@ -153,54 +153,75 @@ def cmd_ingest(args) -> int:
 # pretrain
 
 
-def _field(cfg: dict, path: str, kind, default):
-    """Read ``section.key`` from a run config and cast it with ``kind``."""
+def _field(cfg: dict, path: str, kind, default=None):
+    """Read ``section.key`` from a run config and cast it with ``kind``.
+
+    A missing or null key takes ``default``; without a default it is required.
+    """
     section, key = path.split(".")
-    value = cfg.get(section, {}).get(key, default)
+    block = cfg.get(section, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"run config {section}: expected an object, got {block!r}")
+    value = block.get(key)
+    if value is None:
+        if default is None:
+            raise ConfigError(f"run config missing key {path}")
+        value = default
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"run config {path}: cannot read {value!r} as {kind.__name__}") from exc
 
 
+def _list_of(kind):
+    def cast(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(kind(v) for v in value)
+
+    cast.__name__ = f"a list of {kind.__name__}"
+    return cast
+
+
+def boolean(value) -> bool:
+    # bool("no") is True, so only JSON true/false are accepted
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _parse_run_config(cfg: dict):
-    try:
-        data = cfg["data"]
-        root = data["root"]
-    except KeyError as exc:
-        raise ConfigError(f"run config missing key: {exc}") from exc
-    meta_cfg = cfg.get("meta", {})
-    if "collaborative" in meta_cfg:
-        raise ConfigError("run config meta.collaborative is no longer read; set meta.tasks_per_batch instead")
+    """Data root, episode spec, meta config, model keyword arguments and seeds."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("run config must be a JSON object")
     spec = EpisodeSpec(
         ways=_field(cfg, "episode.ways", int, 2),
         shots=_field(cfg, "episode.shots", int, 6),
         query_multiplier=_field(cfg, "episode.queries", int, 1),
-        category_mode=cfg.get("episode", {}).get("category_mode", "room_type"),
+        category_mode=_field(cfg, "episode.category_mode", str, "room_type"),
     )
     meta = MetaConfig(
         alpha=_field(cfg, "meta.alpha", float, 1e-3),
         beta=_field(cfg, "meta.beta", float, 1e-3),
         inner_steps=_field(cfg, "meta.inner_steps", int, 1),
         tasks_per_batch=_field(cfg, "meta.tasks_per_batch", int, 1),
-        gradient_mode=meta_cfg.get("gradient_mode", "first_order"),
+        gradient_mode=_field(cfg, "meta.gradient_mode", str, "first_order"),
         epochs=_field(cfg, "meta.epochs", int, 1),
         steps_per_epoch=_field(cfg, "meta.steps_per_epoch", int, 0),
-        phase_betas=tuple(meta_cfg["phase_betas"]) if meta_cfg.get("phase_betas") else None,
+        phase_betas=_field(cfg, "meta.phase_betas", _list_of(float), ()) or None,
     )
-    return root, data, spec, meta, cfg.get("model", {}), cfg.get("seeds", {})
-
-
-def _model_config(model_cfg: dict, num_classes: int, points_per_block: int) -> PointNetConfig:
-    return PointNetConfig(
-        num_classes=num_classes,
-        input_dim=int(model_cfg.get("input_dim", 9)),
-        mlp1_widths=tuple(model_cfg.get("mlp1_widths", (64, 64))),
-        mlp2_widths=tuple(model_cfg.get("mlp2_widths", (64, 128, 256))),
-        seg_head_widths=tuple(model_cfg.get("seg_head_widths", (128, 64))),
-        use_tnet=bool(model_cfg.get("use_tnet", False)),
-        points_per_block=points_per_block,
+    if "collaborative" in cfg.get("meta", {}):
+        raise ConfigError("run config meta.collaborative is no longer read; set meta.tasks_per_batch instead")
+    model_kwargs = dict(
+        input_dim=_field(cfg, "model.input_dim", int, 9),
+        mlp1_widths=_field(cfg, "model.mlp1_widths", _list_of(int), (64, 64)),
+        mlp2_widths=_field(cfg, "model.mlp2_widths", _list_of(int), (64, 128, 256)),
+        seg_head_widths=_field(cfg, "model.seg_head_widths", _list_of(int), (128, 64)),
+        use_tnet=_field(cfg, "model.use_tnet", boolean, False),
+        points_per_block=_field(cfg, "data.points_per_block", int, 1024),
     )
+    seeds = {"init": _field(cfg, "seeds.init", int, 0), "tasks": _field(cfg, "seeds.tasks", int, 0)}
+    return _field(cfg, "data.root", str), spec, meta, model_kwargs, seeds
 
 
 def write_loss_csv(history, path) -> None:
@@ -211,19 +232,18 @@ def write_loss_csv(history, path) -> None:
             writer.writerow([step, repr(float(loss)), repr(float(beta)), repr(float(alpha))])
 
 
-def _run_pretrain(areas, vocab, spec, meta, model_cfg, data_cfg, seeds, out: Path):
-    points = int(data_cfg.get("points_per_block", 1024))
-    model = _model_config(model_cfg, num_classes=len(vocab), points_per_block=points)
-    index = index_categories(areas, mode=spec.category_mode, points_per_block=points)
+def _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out: Path):
+    model = PointNetConfig(num_classes=len(vocab), **model_kwargs)
+    index = index_categories(areas, mode=spec.category_mode, points_per_block=model.points_per_block)
     needed = meta.epochs * meta.steps_per_epoch * meta.tasks_per_batch
-    dist = build_task_distribution(index, spec, count=needed, seed=int(seeds.get("tasks", 0)))
+    dist = build_task_distribution(index, spec, count=needed, seed=seeds["tasks"])
     out.mkdir(parents=True, exist_ok=True)
 
     def hook(epoch, state):
         save_checkpoint(out / f"ckpt_epoch{epoch}", model, state.theta)
 
     try:
-        state = pretrain(dist, meta, model, init_seed=int(seeds.get("init", 0)), checkpoint_hook=hook)
+        state = pretrain(dist, meta, model, init_seed=seeds["init"], checkpoint_hook=hook)
     except DivergenceError as exc:
         write_loss_csv(exc.last_state.history, out / "loss.csv")
         raise
@@ -233,28 +253,27 @@ def _run_pretrain(areas, vocab, spec, meta, model_cfg, data_cfg, seeds, out: Pat
 
 def cmd_pretrain(args) -> int:
     cfg = _load_json(args.config)
-    root, data_cfg, spec, meta, model_cfg, seeds = _parse_run_config(cfg)
+    root, spec, meta, model_kwargs, seeds = _parse_run_config(cfg)
     if args.seed is not None:
         seeds = {**seeds, "init": args.seed}
+    wanted = _field(cfg, "data.areas", _list_of(str), ())
+    sweep = _field(cfg, "meta.beta_sweep", _list_of(float), ())
     areas, vocab = load_dataset(root)
-    wanted = data_cfg.get("areas")
     if wanted:
         areas = [a for a in areas if a.name in wanted]
         if len(areas) != len(wanted):
             raise ConfigError(f"areas not found in {root}: {sorted(set(wanted) - {a.name for a in areas})}")
     out = Path(args.out)
-
-    sweep = cfg.get("meta", {}).get("beta_sweep")
     if sweep:
         for beta in sweep:
             sub = out / f"beta_{beta:g}"
-            state, _ = _run_pretrain(areas, vocab, spec, replace(meta, beta=float(beta)), model_cfg, data_cfg, seeds, sub)
+            state, _ = _run_pretrain(areas, vocab, spec, replace(meta, beta=beta), model_kwargs, seeds, sub)
             print(f"beta={beta:g}: final loss {state.losses[-1]:.4f}" if state.losses else f"beta={beta:g}: no steps")
     else:
-        state, _ = _run_pretrain(areas, vocab, spec, meta, model_cfg, data_cfg, seeds, out)
+        state, _ = _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out)
         final = f"{state.losses[-1]:.4f}" if state.losses else "n/a (0 steps)"
         print(f"pretrained {len(state.history)} steps, final query loss {final}")
-    write_manifest(out, "pretrain", cfg, dict(seeds), {str(args.config): _sha256_file(args.config)} | _prefixed_tree(root))
+    write_manifest(out, "pretrain", cfg, seeds, {str(args.config): _sha256_file(args.config)} | _prefixed_tree(root))
     return 0
 
 
@@ -324,27 +343,26 @@ def cmd_adapt_eval(args) -> int:
 
 def cmd_cross_validate(args) -> int:
     cfg = _load_json(args.config)
-    root, data_cfg, spec, meta, model_cfg, seeds = _parse_run_config(cfg)
+    root, spec, meta, model_kwargs, seeds = _parse_run_config(cfg)
     episodes = _field(cfg, "eval.episodes", int, 20)
     eval_beta = _field(cfg, "eval.beta", float, meta.beta)
     eval_steps = _field(cfg, "eval.inner_steps", int, meta.inner_steps)
     eval_seed = _field(cfg, "eval.seed", int, 0)
     areas, vocab = load_dataset(root)
-    points = int(data_cfg.get("points_per_block", 1024))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     names = [a.name for a in areas]
     table = {test: {src: "" for src in names} for test in names}
     for source in areas:
-        state, model = _run_pretrain([source], vocab, spec, meta, model_cfg, data_cfg, seeds, out / f"pretrain_{source.name}")
+        state, model = _run_pretrain([source], vocab, spec, meta, model_kwargs, seeds, out / f"pretrain_{source.name}")
         for target in areas:
             if target.name == source.name:
                 continue
             report = adapt_and_eval(
                 state.theta, model, [target], spec, episodes=episodes,
                 rng=np.random.default_rng([eval_seed, names.index(source.name), names.index(target.name)]),
-                beta=eval_beta, inner_steps=eval_steps, points_per_block=points,
+                beta=eval_beta, inner_steps=eval_steps, points_per_block=model.points_per_block,
             )
             table[target.name][source.name] = repr(report.overall.oacc)
             print(f"pretrain {source.name} -> test {target.name}: oAcc {report.overall.oacc:.4f}")
@@ -353,7 +371,7 @@ def cmd_cross_validate(args) -> int:
         writer.writerow(["test_area"] + names)
         for test in names:
             writer.writerow([test] + [table[test][src] for src in names])
-    write_manifest(out, "cross-validate", cfg, dict(seeds) | {"eval": eval_seed}, _prefixed_tree(root))
+    write_manifest(out, "cross-validate", cfg, seeds | {"eval": eval_seed}, _prefixed_tree(root))
     return 0
 
 

@@ -95,7 +95,6 @@ class Area:
     name: str
     rooms: list[Room]
     classes: tuple[str, ...]
-    room_types: tuple[str, ...] = ROOM_TYPES
 
     def __post_init__(self):
         for room in self.rooms:

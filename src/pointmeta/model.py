@@ -2,7 +2,8 @@
 
 A block of P points with 9 features each goes through a shared per-point
 MLP, a second per-point MLP whose output is max-pooled into a single global
-feature, and a segmentation head applied to [local, global] per point.
+feature, and a segmentation head whose first layer is
+``local @ W_local + global @ W_global``, the row-block split of one weight.
 An optional T-Net predicts a 3x3 transform for the raw XYZ columns before
 any of that.  No batch normalization anywhere: every forward is a pure
 function of (params, block), which keeps per-task gradient adaptation a
@@ -17,18 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    ParamStore,
-    Tensor,
-    broadcast_to,
-    concat_cols,
-    matmul,
-    max_over_points,
-    permute_rows,
-    relu,
-    reshape,
-    slice_cols,
-)
+from .autodiff import ParamStore, Tensor, matmul, max_over_points, relu, reshape, take_rows
 from .errors import ConfigError, DimensionError
 
 CHECKPOINT_MAGIC = "PMCKPT"
@@ -128,8 +118,20 @@ def _as_tensors(params) -> dict[str, Tensor]:
     return params
 
 
-def _dense_chain(tensors, prefix: str, n_layers: int, x: Tensor) -> Tensor:
-    for i in range(n_layers):
+def _dense_chain(tensors, prefix: str, n_layers: int, *parts) -> Tensor:
+    """Dense relu layers whose first layer takes its input as column blocks.
+
+    Each part multiplies its own row block of the first weight, so the
+    blocks are never concatenated; a [1, H] product broadcasts in ``add``.
+    """
+    w, x, start = tensors[f"{prefix}.0.w"], None, 0
+    for part in parts:
+        weight = w if len(parts) == 1 else take_rows(w, slice(start, start + part.shape[1]))
+        start += part.shape[1]
+        term = matmul(part, weight)
+        x = term if x is None else x + term
+    x = relu(x + tensors[f"{prefix}.0.b"])
+    for i in range(1, n_layers):
         x = relu(matmul(x, tensors[f"{prefix}.{i}.w"]) + tensors[f"{prefix}.{i}.b"])
     return x
 
@@ -151,13 +153,13 @@ def tnet_transform(config: PointNetConfig, params, xyz) -> Tensor:
 
 
 def forward(config: PointNetConfig, params, features, return_pooled: bool = False):
-    """Per-point class logits for one [P, input_dim] feature block.
+    """Per-point class logits for one [P, input_dim] numpy feature block.
 
     ``params`` may be a ParamStore or a name->Tensor mapping (as used inside
     adaptation, where parameters are themselves graph nodes).
     """
     tensors = _as_tensors(params)
-    x = features if isinstance(features, Tensor) else Tensor(features)
+    x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise DimensionError(
             f"forward expects [P, {config.input_dim}] features, got {x.shape}"
@@ -167,21 +169,21 @@ def forward(config: PointNetConfig, params, features, return_pooled: bool = Fals
 
     # run the pipeline in a canonical point order: BLAS matmul kernels are
     # not bit-stable under row permutation, so sorting the rows first makes
-    # permutation equivariance exact instead of approximate
-    order = np.lexsort(x.data.T[::-1])
-    inverse = np.argsort(order)
-    x = permute_rows(x, order)
+    # permutation equivariance exact instead of approximate; the sort is a
+    # constant, so only the logits go back to the caller's order on the tape
+    order = np.lexsort(x.T[::-1])
+    x = x[order]
 
     if config.use_tnet:
-        xyz = tnet_transform(config, tensors, slice_cols(x, 0, 3))
-        x = concat_cols(xyz, slice_cols(x, 3, config.input_dim))
-
-    local = _dense_chain(tensors, "mlp1", len(config.mlp1_widths), x)
+        xyz, rest = np.ascontiguousarray(x[:, :3]), np.ascontiguousarray(x[:, 3:])
+        inputs = (tnet_transform(config, tensors, xyz), Tensor(rest))
+    else:
+        inputs = (Tensor(x),)
+    local = _dense_chain(tensors, "mlp1", len(config.mlp1_widths), *inputs)
     deep = _dense_chain(tensors, "mlp2", len(config.mlp2_widths), local)
     pooled, _ = max_over_points(deep)
-    global_feat = broadcast_to(reshape(pooled, (1, pooled.shape[0])), (x.shape[0], pooled.shape[0]))
-    h = _dense_chain(tensors, "head", len(config.seg_head_widths), concat_cols(local, global_feat))
-    logits = permute_rows(matmul(h, tensors["out.w"]) + tensors["out.b"], inverse)
+    h = _dense_chain(tensors, "head", len(config.seg_head_widths), local, reshape(pooled, (1, pooled.shape[0])))
+    logits = take_rows(matmul(h, tensors["out.w"]) + tensors["out.b"], np.argsort(order))
     if return_pooled:
         return logits, pooled
     return logits
@@ -229,19 +231,25 @@ def load_checkpoint(path) -> tuple[PointNetConfig, ParamStore]:
             # ValueError covers a non-integer length and bad UTF-8 or JSON
             header = json.loads(fh.read(int(first[2])).decode("utf-8"))
             config = PointNetConfig(**header["config"])
-            dtype, entries = header["dtype"], header["params"]
+            dtype = header["dtype"]
+            listed = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from exc
+        if dtype not in ("float32", "float64"):
+            raise ConfigError(f"{path}: unsupported parameter dtype {dtype!r}")
+        # forward slices weights by the config's widths, so the listing must be exact
+        expected = layer_shapes(config)
+        if listed != expected:
+            raise ConfigError(f"{path}: parameter names or shapes do not match the header config")
         little = "<f4" if dtype == "float32" else "<f8"
         itemsize = np.dtype(little).itemsize
         arrays = {}
-        for entry in entries:
-            shape = tuple(entry["shape"])
+        for name, shape in expected:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * itemsize)
             if len(raw) != count * itemsize:
-                raise ConfigError(f"{path}: truncated parameter data for {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=little).reshape(shape).astype(
-                np.float32 if dtype == "float32" else np.float64
-            )
+                raise ConfigError(f"{path}: truncated parameter data for {name!r}")
+            arrays[name] = np.frombuffer(raw, dtype=little).reshape(shape).astype(dtype)
+        if fh.read(1):
+            raise ConfigError(f"{path}: unexpected bytes after the last parameter")
     return config, ParamStore(arrays)

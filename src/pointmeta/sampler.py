@@ -35,14 +35,6 @@ class EpisodeSpec:
         if self.category_mode not in CATEGORY_MODES:
             raise ConfigError(f"category_mode must be one of {CATEGORY_MODES}, got {self.category_mode!r}")
 
-    @property
-    def support_size(self) -> int:
-        return self.ways * self.shots
-
-    @property
-    def query_size(self) -> int:
-        return self.query_multiplier * self.ways * self.shots
-
 
 @dataclass(frozen=True)
 class BlockRef:

@@ -154,7 +154,6 @@ class TrainState:
     theta: ParamStore
     step: int = 0
     history: list = field(default_factory=list)  # (step, query_loss, beta, alpha)
-    episodes_consumed: int = 0
 
     @property
     def losses(self) -> list[float]:
@@ -171,7 +170,6 @@ def meta_step(state: TrainState, tasks, config: MetaConfig) -> TrainState:
         theta=theta,
         step=state.step + 1,
         history=state.history + [(state.step, loss, config.beta, config.alpha)],
-        episodes_consumed=state.episodes_consumed + len(tasks),
     )
 
 

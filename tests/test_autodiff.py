@@ -14,8 +14,10 @@ from pointmeta.autodiff import (
     matmul,
     max_over_points,
     relu,
+    scatter_rows,
     sgd_step,
     sum_,
+    take_rows,
 )
 from pointmeta.errors import ContractError, DimensionError, ValidationError
 
@@ -108,6 +110,68 @@ def test_max_over_points_permutation_invariant(seed):
     pooled, _ = max_over_points(Tensor(x))
     permuted, _ = max_over_points(Tensor(x[perm]))
     assert np.array_equal(pooled.data, permuted.data)
+
+
+def _row_op(kind, rows):
+    """A row op on 5-row tensors and the 0/1 matrix ``m`` with op(z) == m @ z."""
+    select = np.eye(5)[rows]
+    if kind == "take":
+        return (lambda z: take_rows(z, rows)), select
+    return (lambda z: scatter_rows(z, rows, 5)), select.T
+
+
+def _cubic(op, c, x):
+    # sum(c * op(x)^3): its gradient still depends on x, so it has a second order
+    y = op(x)
+    return sum_(Tensor(c) * y * y * y)
+
+
+ROWS = pytest.mark.parametrize("rows", [slice(1, 4), np.array([3, 0, 4, 1, 2])], ids=["slice", "permutation"])
+KINDS = pytest.mark.parametrize("kind", ["take", "scatter"])
+
+
+@ROWS
+@KINDS
+def test_row_ops_values(kind, rows):
+    op, m = _row_op(kind, rows)
+    x = np.random.default_rng(0).normal(size=(m.shape[1], 3))
+    assert np.array_equal(op(Tensor(x)).data, m @ x)
+
+
+@ROWS
+@KINDS
+def test_row_ops_gradient_matches_finite_differences(kind, rows):
+    op, m = _row_op(kind, rows)
+    rng = np.random.default_rng(1)
+    params = ParamStore({"x": rng.normal(size=(m.shape[1], 3))})
+    c = rng.normal(size=(m.shape[0], 3))
+
+    def loss_of(store):
+        with Tape():
+            return _cubic(op, c, store.tensors()["x"]).item()
+
+    fd = finite_diff_gradient(loss_of, params, eps=1e-5)["x"]
+    with Tape() as tape:
+        tt = params.tensors()
+        ad = backward(_cubic(op, c, tt["x"]), tape, tt)["x"].data
+    assert ad.dtype == np.float64
+    assert (np.abs(ad - fd) / np.maximum(np.abs(fd), 1e-3)).max() <= 1e-7
+
+
+@ROWS
+@KINDS
+def test_row_ops_gradient_of_gradient(kind, rows):
+    op, m = _row_op(kind, rows)
+    rng = np.random.default_rng(2)
+    x0 = rng.normal(size=(m.shape[1], 3))
+    c = rng.normal(size=(m.shape[0], 3))
+    v = rng.normal(size=x0.shape)
+    x = Tensor(x0, requires_grad=True, name="x")
+    with Tape() as tape:
+        g = backward(_cubic(op, c, x), tape, {"x": x}, create_graph=True)["x"]
+        hv = backward(sum_(Tensor(v) * g), tape, {"x": x})["x"]
+    # L = sum(c * (m x)^3) gives d/dx sum(v * dL/dx) = m^T (6 c (m v) (m x))
+    assert np.allclose(hv.data, m.T @ (6 * c * (m @ v) * (m @ x0)), rtol=1e-12, atol=1e-12)
 
 
 def test_cross_entropy_uniform_logits():

@@ -146,6 +146,12 @@ def test_pretrain_missing_data_path(tmp_path):
         ("episode", "ways", "two", "episode.ways"),
         ("meta", "alpha", [1e-3], "meta.alpha"),
         ("meta", "collaborative", False, "tasks_per_batch"),
+        ("data", "points_per_block", "abc", "data.points_per_block"),
+        ("seeds", "tasks", "x", "seeds.tasks"),
+        ("seeds", "init", "x", "seeds.init"),
+        ("meta", "phase_betas", 5, "meta.phase_betas"),
+        ("model", "mlp1_widths", 8, "model.mlp1_widths"),
+        ("model", "use_tnet", "no", "model.use_tnet"),
     ],
 )
 def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):
@@ -264,8 +270,15 @@ def test_adapt_eval_capacity_error(dataset, pretrained, tmp_path):
         lambda blob: blob.replace(b'"config"', b'"konfig"', 1),  # missing config
         lambda blob: blob.replace(b'"dtype"', b'"dtipe"', 1),  # missing dtype
         lambda blob: blob.replace(b'"params"', b'"parems"', 1),  # missing params
+        lambda blob: blob.replace(b'"shape"', b'"shope"', 1),  # an entry without shape
+        lambda blob: blob.replace(b'"mlp1.0.w"', b'"mlp1.9.w"', 1),  # renamed parameter
+        lambda blob: blob + b"\0\0\0\0",  # bytes after the last parameter
+        lambda blob: blob.replace(b'"float32"', b'"float99"', 1),  # unknown dtype
     ],
-    ids=["prefix40", "non_ascii", "bad_length", "no_config", "no_dtype", "no_params"],
+    ids=[
+        "prefix40", "non_ascii", "bad_length", "no_config", "no_dtype", "no_params",
+        "no_shape", "renamed", "trailing", "bad_dtype",
+    ],
 )
 def test_adapt_eval_malformed_checkpoint_usage_error(dataset, pretrained, tmp_path, capsys, corrupt):
     broken = tmp_path / "broken_ckpt"

@@ -70,6 +70,26 @@ def test_forward_permutation_equivariance_bit_exact():
     assert np.array_equal(pooled.data, pooled_p.data)
 
 
+def _concatenated_head_logits(config, params, x):
+    # numpy reference with the head applied to concat(local, broadcast(global))
+    def chain(prefix, n_layers, h):
+        for i in range(n_layers):
+            h = np.maximum(h @ params[f"{prefix}.{i}.w"] + params[f"{prefix}.{i}.b"], 0)
+        return h
+
+    local = chain("mlp1", len(config.mlp1_widths), x)
+    pooled = chain("mlp2", len(config.mlp2_widths), local).max(axis=0)
+    h = chain("head", len(config.seg_head_widths), np.hstack([local, np.broadcast_to(pooled, (len(x), pooled.size))]))
+    return h @ params["out.w"] + params["out.b"]
+
+
+def test_forward_matches_concatenated_head_reference():
+    params = init_params(MINI, seed=4, dtype=np.float64)
+    block = np.random.default_rng(5).normal(size=(20, 9))
+    expected = _concatenated_head_logits(MINI, params, block)
+    assert np.allclose(forward(MINI, params, block).data, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_forward_zero_params_uniform_logits():
     params = ParamStore({n: np.zeros_like(a) for n, a in init_params(MINI, seed=0).items()})
     block = np.random.default_rng(0).normal(size=(10, 9)).astype(np.float32)
@@ -143,6 +163,31 @@ def test_tnet_gradient_matches_finite_differences():
         # oracle's own rounding noise (~1e-11 absolute) dominates
         scale = np.maximum(np.maximum(np.abs(ad), np.abs(fd[name])), 1e-3)
         assert (np.abs(ad - fd[name]) / scale).max() <= 1e-6
+
+
+def test_forward_gradient_with_tnet_matches_finite_differences():
+    # covers the split first layer of mlp1: [tnet(xyz), rest] never concatenated
+    config = PointNetConfig(num_classes=3, use_tnet=True, mlp1_widths=(4,), mlp2_widths=(4, 6), seg_head_widths=(4,))
+    params = init_params(config, seed=5, dtype=np.float64)
+    arrays = {n: a.copy() for n, a in params.items()}
+    rng = np.random.default_rng(6)
+    arrays["tnet.out.w"] += rng.normal(size=arrays["tnet.out.w"].shape) * 0.05
+    params = ParamStore(arrays)
+    block = rng.normal(size=(6, 9))
+    labels = rng.integers(0, 3, size=6)
+
+    def loss_of(store):
+        with Tape():
+            return cross_entropy(forward(config, store.tensors(), block), labels).item()
+
+    fd = finite_diff_gradient(loss_of, params, eps=1e-5)
+    with Tape() as tape:
+        tt = params.tensors()
+        grads = backward(cross_entropy(forward(config, tt, block), labels), tape, tt)
+    for name in params.keys():
+        ad = grad_array(grads[name])
+        scale = np.maximum(np.maximum(np.abs(ad), np.abs(fd[name])), 1e-3)
+        assert (np.abs(ad - fd[name]) / scale).max() <= 1e-6, name
 
 
 def test_config_validation():
