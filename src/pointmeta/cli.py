@@ -92,26 +92,26 @@ def _load_json(path):
 # synth
 
 
-def _area_specs_from_json(spec: dict) -> list[SyntheticAreaSpec]:
-    if "areas" not in spec or not spec["areas"]:
-        raise ConfigError("synthetic spec needs a non-empty 'areas' list")
-    classes = tuple(spec.get("classes", DEFAULT_CLASSES))
+def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{source}: expected a JSON object")
+    areas = _field(spec, "areas", _list_of(dict), source=source)
+    if not areas:
+        raise ConfigError(f"{source}: needs a non-empty 'areas' list")
     out = []
-    for entry in spec["areas"]:
-        if "name" not in entry or "rooms" not in entry:
-            raise ConfigError("each area needs 'name' and 'rooms'")
-        rooms = tuple((room_type, int(count)) for room_type, count in entry["rooms"].items())
-        for room_type, _ in rooms:
+    for entry in areas:
+        rooms = _field(entry, "rooms", dict, source=source)
+        for room_type in rooms:
             if room_type not in DEFAULT_TEMPLATES:
                 raise ConfigError(f"no synthetic template for room type {room_type!r}")
         out.append(
             SyntheticAreaSpec(
-                name=entry["name"],
-                rooms=rooms,
-                density=float(spec.get("density", 110.0)),
-                color_noise=float(spec.get("color_noise", 6.0)),
-                room_tint=float(spec.get("room_tint", 14.0)),
-                classes=classes,
+                name=_field(entry, "name", str, source=source),
+                rooms=tuple((t, _field(entry, f"rooms.{t}", int, source=source)) for t in rooms),
+                density=_field(spec, "density", float, 110.0, source),
+                color_noise=_field(spec, "color_noise", float, 6.0, source),
+                room_tint=_field(spec, "room_tint", float, 14.0, source),
+                classes=_field(spec, "classes", _list_of(str), DEFAULT_CLASSES, source),
             )
         )
     return out
@@ -119,7 +119,7 @@ def _area_specs_from_json(spec: dict) -> list[SyntheticAreaSpec]:
 
 def cmd_synth(args) -> int:
     spec = _load_json(args.spec)
-    area_specs = _area_specs_from_json(spec)
+    area_specs = _area_specs_from_json(spec, f"synth spec {args.spec}")
     out = Path(args.out)
     areas = []
     for i, area_spec in enumerate(area_specs):
@@ -153,24 +153,27 @@ def cmd_ingest(args) -> int:
 # pretrain
 
 
-def _field(cfg: dict, path: str, kind, default=None):
-    """Read ``section.key`` from a run config and cast it with ``kind``.
+def _field(cfg: dict, path: str, kind, default=None, source: str = "run config"):
+    """Read the dotted ``path`` from a JSON object and cast it with ``kind``.
 
     A missing or null key takes ``default``; without a default it is required.
+    ``source`` names the file in error messages.
     """
-    section, key = path.split(".")
-    block = cfg.get(section, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"run config {section}: expected an object, got {block!r}")
+    *sections, key = path.split(".")
+    block = cfg
+    for section in sections:
+        block = block.get(section, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"{source} {section}: expected an object, got {block!r}")
     value = block.get(key)
     if value is None:
         if default is None:
-            raise ConfigError(f"run config missing key {path}")
+            raise ConfigError(f"{source} missing key {path}")
         value = default
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"run config {path}: cannot read {value!r} as {kind.__name__}") from exc
+        raise ConfigError(f"{source} {path}: cannot read {value!r} as {kind.__name__}") from exc
 
 
 def _list_of(kind):
@@ -181,6 +184,15 @@ def _list_of(kind):
 
     cast.__name__ = f"a list of {kind.__name__}"
     return cast
+
+
+def _rgb(value) -> tuple[int, int, int]:
+    if not (isinstance(value, list) and len(value) == 3 and all(type(c) is int and 0 <= c <= 255 for c in value)):
+        raise ValueError(f"expected three integers in 0..255, got {value!r}")
+    return tuple(value)
+
+
+_rgb.__name__ = "three integers in 0..255"
 
 
 def boolean(value) -> bool:
@@ -379,6 +391,16 @@ def cmd_cross_validate(args) -> int:
 # export-ply
 
 
+def _load_palette(path) -> dict[int, tuple[int, int, int]]:
+    loaded, source = _load_json(path), f"palette {path}"
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{source}: expected an object of class id -> [r, g, b]")
+    for key in loaded:
+        if not key.isdecimal():
+            raise ConfigError(f"{source} {key}: class ids must be integers")
+    return {int(key): _field(loaded, key, _rgb, source=source) for key in loaded}
+
+
 def cmd_export_ply(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
@@ -387,8 +409,7 @@ def cmd_export_ply(args) -> int:
     room = load_room(args.room, vocab)
     palette = dict(DEFAULT_PALETTE)
     if args.palette:
-        loaded = _load_json(args.palette)
-        palette = {int(k): tuple(v) for k, v in loaded.items()}
+        palette = _load_palette(args.palette)
     missing = [i for i in range(model.num_classes) if i not in palette]
     if missing:
         raise ConfigError(f"palette missing colors for classes {missing}")
@@ -397,7 +418,7 @@ def cmd_export_ply(args) -> int:
     written = 0
     for k, block in enumerate(partition_blocks(room)):
         resampled = resample_block(block, model.points_per_block, np.random.default_rng([args.seed, k]))
-        features = featurize_block(resampled, room)
+        features = featurize_block(resampled)
         labels = predict_labels(forward(model, theta, features))
         stem = f"{room.name}_block_{block.grid[0]}_{block.grid[1]}"
         export_ply(resampled, labels, palette, out / f"{stem}_pred.ply")

@@ -14,7 +14,7 @@ to learn while staying desk-scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +80,15 @@ class Room:
 
 @dataclass
 class Block:
-    room: str
+    """One grid cell's points plus the room frame they are featurized in."""
+
     grid: tuple[int, int]
     xyz: np.ndarray
     rgb: np.ndarray
     labels: np.ndarray
+    center: np.ndarray  # [3] cell center, Z = 0
+    room_min: np.ndarray  # [3]
+    room_extent: np.ndarray  # [3] room max - min
 
     def __len__(self):
         return len(self.labels)
@@ -114,17 +118,25 @@ def write_vocab(classes, path) -> None:
             fh.write(f"{i} {name}\n")
 
 
+def _text_lines(path):
+    """(line number, stripped line) for each non-blank, non-comment line of a UTF-8 file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_vocab(path) -> tuple[str, ...]:
     classes = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2 or not parts[0].isdigit():
-                raise ValidationError(f"{path}:{lineno}: expected 'label_id class_name'")
-            classes[int(parts[0])] = parts[1]
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if len(parts) != 2 or not parts[0].isdigit():
+            raise ValidationError(f"{path}:{lineno}: expected 'label_id class_name'")
+        classes[int(parts[0])] = parts[1]
     if sorted(classes) != list(range(len(classes))):
         raise ValidationError(f"{path}: label ids must be contiguous from 0")
     return tuple(classes[i] for i in range(len(classes)))
@@ -142,27 +154,23 @@ def load_room(path, vocab) -> Room:
     path = Path(path)
     room_type, _ = _room_name_parts(path.stem)
     xyz, rgb, labels = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise ValidationError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-            try:
-                x, y, z = (float(v) for v in parts[:3])
-                r, g, b = (int(v) for v in parts[3:6])
-                label = int(parts[6])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if not (0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255):
-                raise ValidationError(f"{path}:{lineno}: color out of range [0, 255]")
-            if not (0 <= label < len(vocab)):
-                raise ValidationError(f"{path}:{lineno}: label {label} not in vocabulary of size {len(vocab)}")
-            xyz.append((x, y, z))
-            rgb.append((r, g, b))
-            labels.append(label)
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if len(parts) != 7:
+            raise ValidationError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
+        try:
+            x, y, z = (float(v) for v in parts[:3])
+            r, g, b = (int(v) for v in parts[3:6])
+            label = int(parts[6])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if not (0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255):
+            raise ValidationError(f"{path}:{lineno}: color out of range [0, 255]")
+        if not (0 <= label < len(vocab)):
+            raise ValidationError(f"{path}:{lineno}: label {label} not in vocabulary of size {len(vocab)}")
+        xyz.append((x, y, z))
+        rgb.append((r, g, b))
+        labels.append(label)
     if not xyz:
         raise ValidationError(f"{path}: empty room file")
     return Room(
@@ -217,17 +225,16 @@ def write_dataset(areas, classes, root) -> None:
 # blocks and features
 
 
-def partition_blocks(room: Room, block_size: float = 1.0) -> list[Block]:
-    """Cut a room into half-open grid cells over its XY bounding box.
+def partition_blocks(room: Room) -> list[Block]:
+    """Cut a room into half-open 1m grid cells over its XY bounding box.
 
     Cells are anchored at (x_min, y_min); every point lands in exactly one
     cell and empty cells are omitted.  Z is never partitioned: blocks are
-    full-height columns.
+    full-height columns.  Each block carries the room's min and extent.
     """
-    if block_size <= 0:
-        raise ValidationError(f"block_size must be positive, got {block_size}")
-    mins = room.xyz[:, :2].min(axis=0)
-    cells = np.floor((room.xyz[:, :2] - mins) / block_size).astype(np.int64)
+    room_min = room.xyz.min(axis=0)
+    room_extent = room.xyz.max(axis=0) - room_min
+    cells = np.floor(room.xyz[:, :2] - room_min[:2]).astype(np.int64)
     blocks = []
     order = np.lexsort((cells[:, 1], cells[:, 0]))
     sorted_cells = cells[order]
@@ -236,40 +243,28 @@ def partition_blocks(room: Room, block_size: float = 1.0) -> list[Block]:
         i, j = cells[chunk[0]]
         blocks.append(
             Block(
-                room=room.name,
                 grid=(int(i), int(j)),
                 xyz=room.xyz[chunk],
                 rgb=room.rgb[chunk],
                 labels=room.labels[chunk],
+                center=np.append(room_min[:2] + (cells[chunk[0]] + 0.5), 0.0),
+                room_min=room_min,
+                room_extent=room_extent,
             )
         )
     return blocks
 
 
-def featurize_block(block: Block, room: Room, block_size: float = 1.0, dtype=np.float32) -> np.ndarray:
-    """[P, 9] features: centered XY + raw Z, RGB/255, room-normalized XYZ.
+def featurize_block(block: Block) -> np.ndarray:
+    """[P, 9] float32 features: centered XY + raw Z, RGB/255, room-normalized XYZ.
 
-    XY are centered on the block's grid-cell center (Z is left in meters).
     A degenerate room extent on an axis normalizes to 0.5 there.
     """
-    room_min = room.xyz.min(axis=0)
-    room_max = room.xyz.max(axis=0)
-    extent = room_max - room_min
-
-    centered = block.xyz.copy()
-    for axis in (0, 1):
-        cell_center = room_min[axis] + (block.grid[axis] + 0.5) * block_size
-        centered[:, axis] -= cell_center
-
-    normalized = np.empty_like(block.xyz)
-    for axis in range(3):
-        if extent[axis] > 0:
-            normalized[:, axis] = (block.xyz[:, axis] - room_min[axis]) / extent[axis]
-        else:
-            normalized[:, axis] = 0.5
-
-    features = np.concatenate([centered, block.rgb / 255.0, normalized], axis=1)
-    return features.astype(dtype)
+    flat = block.room_extent == 0
+    normalized = (block.xyz - block.room_min) / np.where(flat, 1.0, block.room_extent)
+    normalized[:, flat] = 0.5
+    features = np.concatenate([block.xyz - block.center, block.rgb / 255.0, normalized], axis=1)
+    return features.astype(np.float32)
 
 
 def resample_block(block: Block, n_points: int, rng: np.random.Generator) -> Block:
@@ -284,7 +279,7 @@ def resample_block(block: Block, n_points: int, rng: np.random.Generator) -> Blo
         idx = rng.choice(len(block), size=n_points, replace=False)
     else:
         idx = rng.integers(0, len(block), size=n_points)
-    return Block(room=block.room, grid=block.grid, xyz=block.xyz[idx], rgb=block.rgb[idx], labels=block.labels[idx])
+    return replace(block, xyz=block.xyz[idx], rgb=block.rgb[idx], labels=block.labels[idx])
 
 
 def dominant_class(block: Block) -> int:

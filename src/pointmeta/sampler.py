@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Area, Block, Room, dominant_class, featurize_block, partition_blocks, resample_block
+from .data import Area, Block, dominant_class, featurize_block, partition_blocks, resample_block
 from .errors import CapacityError, ConfigError
 
 CATEGORY_MODES = ("room_type", "semantic_composition")
@@ -72,20 +72,17 @@ class Episode:
 class CategoryIndex:
     """Category -> candidate blocks, with everything needed to materialize them."""
 
-    def __init__(self, areas, mode: str = "room_type", points_per_block: int = 1024, dtype=np.float32):
+    def __init__(self, areas, mode: str = "room_type", points_per_block: int = 1024):
         if mode not in CATEGORY_MODES:
             raise ConfigError(f"category_mode must be one of {CATEGORY_MODES}, got {mode!r}")
         if isinstance(areas, Area):
             areas = [areas]
         self.mode = mode
         self.points_per_block = points_per_block
-        self.dtype = dtype
-        self._rooms: dict[tuple[str, str], Room] = {}
         self._blocks: dict[tuple, Block] = {}
         self.categories: dict[str, list[BlockRef]] = {}
         for area in areas:
             for room in area.rooms:
-                self._rooms[(area.name, room.name)] = room
                 for block in partition_blocks(room):
                     if mode == "room_type":
                         category = room.room_type
@@ -102,14 +99,13 @@ class CategoryIndex:
 
     def materialize(self, ref: BlockRef, resample_seed: int) -> BlockSample:
         block = self._blocks[ref.identity]
-        room = self._rooms[(ref.area, ref.room)]
         resampled = resample_block(block, self.points_per_block, np.random.default_rng(resample_seed))
-        features = featurize_block(resampled, room, dtype=self.dtype)
+        features = featurize_block(resampled)
         return BlockSample(ref=ref, resample_seed=resample_seed, features=features, labels=resampled.labels.copy())
 
 
-def index_categories(areas, mode: str = "room_type", points_per_block: int = 1024, dtype=np.float32) -> CategoryIndex:
-    return CategoryIndex(areas, mode=mode, points_per_block=points_per_block, dtype=dtype)
+def index_categories(areas, mode: str = "room_type", points_per_block: int = 1024) -> CategoryIndex:
+    return CategoryIndex(areas, mode=mode, points_per_block=points_per_block)
 
 
 def sample_episode(index: CategoryIndex, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,24 @@ def test_synth_bad_spec(tmp_path, capsys):
     assert "throne_room" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "update, named",
+    [
+        ({"density": "abc"}, "density"),
+        ({"areas": [{"name": "X", "rooms": {"office": "x"}}]}, "rooms.office"),
+        ({"areas": [1]}, "areas"),
+        ({"classes": 5}, "classes"),
+    ],
+    ids=["density", "room_count", "area_entry", "classes"],
+)
+def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({**SYNTH_SPEC, **update}))
+    assert main(["synth", "--spec", str(spec), "--seed", "0", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and str(spec) in err
+
+
 def test_ingest_prints_stats(dataset, capsys):
     assert main(["ingest", "--data", str(dataset)]) == 0
     out = capsys.readouterr().out
@@ -102,6 +121,19 @@ def test_ingest_prints_stats(dataset, capsys):
 
 def test_ingest_missing_dir(tmp_path):
     assert main(["ingest", "--data", str(tmp_path / "nope")]) in (2, 5)
+
+
+@pytest.mark.parametrize("target", ["AreaA/office_1.txt", "vocab.txt"])
+def test_ingest_non_utf8_usage_error(dataset, tmp_path, capsys, target):
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    broken = copy / target
+    if target == "vocab.txt":
+        broken.write_bytes(b"\xff")
+    else:
+        broken.write_bytes(broken.read_bytes() + b"\xff\xfe")
+    assert main(["ingest", "--data", str(copy)]) == 2
+    assert str(broken) in capsys.readouterr().err
 
 
 def test_pretrain_outputs(pretrained):
@@ -334,6 +366,30 @@ def test_export_ply_palette_missing_class(dataset, pretrained, tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "key, color",
+    [("a", [1, 2, 3]), ("1", [1, 2]), ("2", [300, 0, 0])],
+    ids=["non_integer_key", "two_channels", "out_of_range"],
+)
+def test_export_ply_bad_palette_usage_error(dataset, pretrained, tmp_path, capsys, key, color):
+    room = next((dataset / "AreaB").glob("office_*.txt"))
+    palette = tmp_path / "palette.json"
+    palette.write_text(json.dumps({**{str(i): [10, 20, 30] for i in range(6)}, key: color}))
+    code = main(
+        [
+            "export-ply",
+            "--checkpoint", str(pretrained / "ckpt_epoch2"),
+            "--room", str(room),
+            "--vocab", str(dataset / "vocab.txt"),
+            "--palette", str(palette),
+            "--out", str(tmp_path / "ply"),
+        ]
+    )
+    assert code == 2
+    assert f"{palette} {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "ply").exists()
 
 
 def test_cross_validate_table(dataset, tmp_path):

@@ -35,6 +35,28 @@ def make_room(xyz, labels=None, rgb=None, name="office_1"):
     )
 
 
+def make_block(xyz, rgb, labels):
+    # a lone cell at the origin of a unit room
+    return Block(grid=(0, 0), xyz=xyz, rgb=rgb, labels=labels, center=np.array([0.5, 0.5, 0.0]),
+                 room_min=np.zeros(3), room_extent=np.ones(3))
+
+
+def room_wide_features(block, room):
+    """The room-wide featurization, recomputing the room frame from every point of the room."""
+    room_min = room.xyz.min(axis=0)
+    extent = room.xyz.max(axis=0) - room_min
+    centered = block.xyz.copy()
+    for axis in (0, 1):
+        centered[:, axis] -= room_min[axis] + (block.grid[axis] + 0.5)
+    normalized = np.empty_like(block.xyz)
+    for axis in range(3):
+        if extent[axis] > 0:
+            normalized[:, axis] = (block.xyz[:, axis] - room_min[axis]) / extent[axis]
+        else:
+            normalized[:, axis] = 0.5
+    return np.concatenate([centered, block.rgb / 255.0, normalized], axis=1).astype(np.float32)
+
+
 def test_load_room_three_lines(tmp_path):
     path = tmp_path / "office_1.txt"
     path.write_text(
@@ -128,24 +150,24 @@ def test_featurize_ranges_and_corners():
     room = make_room([[0, 0, 0], [2, 2, 2], [1, 1, 1]], rgb=[[0, 0, 0], [255, 255, 255], [128, 128, 128]])
     blocks = partition_blocks(room)
     by_grid = {b.grid: b for b in blocks}
-    feats = featurize_block(by_grid[(2, 2)], room)
+    feats = featurize_block(by_grid[(2, 2)])
     # the room-max corner point normalizes to (1, 1, 1)
     assert np.allclose(feats[0, 6:9], [1.0, 1.0, 1.0])
     # pure white maps to (1, 1, 1) in the color columns
     assert np.allclose(feats[0, 3:6], [1.0, 1.0, 1.0])
-    all_feats = np.concatenate([featurize_block(b, room) for b in blocks])
+    all_feats = np.concatenate([featurize_block(b) for b in blocks])
     assert all_feats[:, 3:9].min() >= 0.0 and all_feats[:, 3:9].max() <= 1.0
 
 
 def test_featurize_flat_room_degenerate_axis():
     room = make_room([[0, 0, 1.0], [2, 1, 1.0], [1, 0.5, 1.0]])
-    feats = featurize_block(partition_blocks(room)[0], room)
+    feats = featurize_block(partition_blocks(room)[0])
     assert np.all(feats[:, 8] == 0.5)  # flat in z
 
 
 def test_featurize_xy_centering():
     room = make_room([[0.1, 0.1, 0.0], [0.9, 0.9, 0.0]])
-    feats = featurize_block(partition_blocks(room)[0], room)
+    feats = featurize_block(partition_blocks(room)[0])
     # cell center is at 0.5 + room minimum on each axis
     assert np.allclose(feats[:, 0], [0.1 - 0.6, 0.9 - 0.6])
     assert np.allclose(feats[:, 2], [0.0, 0.0])  # z unshifted
@@ -167,8 +189,7 @@ def test_resample_upsamples_by_duplication():
 
 def test_resample_downsamples_without_replacement():
     xyz = np.random.default_rng(2).uniform(0, 1, (10_000, 3))
-    block = Block(room="office_1", grid=(0, 0), xyz=xyz, rgb=np.zeros((10_000, 3), dtype=np.int64),
-                  labels=np.arange(10_000))
+    block = make_block(xyz=xyz, rgb=np.zeros((10_000, 3), dtype=np.int64), labels=np.arange(10_000))
     out = resample_block(block, 1024, np.random.default_rng(3))
     assert len(out) == 1024
     assert len(set(out.labels.tolist())) == 1024  # all distinct indices
@@ -178,7 +199,7 @@ def test_resample_deterministic_and_label_aligned():
     rng = np.random.default_rng(4)
     xyz = rng.uniform(0, 1, (50, 3))
     labels = rng.integers(0, 4, size=50)
-    block = Block(room="office_1", grid=(0, 0), xyz=xyz, rgb=np.zeros((50, 3), dtype=np.int64), labels=labels)
+    block = make_block(xyz=xyz, rgb=np.zeros((50, 3), dtype=np.int64), labels=labels)
     a = resample_block(block, 20, np.random.default_rng(7))
     b = resample_block(block, 20, np.random.default_rng(7))
     assert np.array_equal(a.xyz, b.xyz)
@@ -187,7 +208,7 @@ def test_resample_deterministic_and_label_aligned():
 
 
 def test_resample_empty_block_error():
-    block = Block(room="x_1", grid=(0, 0), xyz=np.zeros((0, 3)), rgb=np.zeros((0, 3)), labels=np.zeros(0, dtype=int))
+    block = make_block(xyz=np.zeros((0, 3)), rgb=np.zeros((0, 3)), labels=np.zeros(0, dtype=int))
     with pytest.raises(ValidationError):
         resample_block(block, 4, np.random.default_rng(0))
 
@@ -229,14 +250,12 @@ def test_synthetic_densities_honored():
 
 
 def test_dominant_class_tiebreak():
-    block = Block(room="x_1", grid=(0, 0), xyz=np.zeros((4, 3)), rgb=np.zeros((4, 3), dtype=np.int64),
-                  labels=np.array([2, 1, 1, 2]))
+    block = make_block(xyz=np.zeros((4, 3)), rgb=np.zeros((4, 3), dtype=np.int64), labels=np.array([2, 1, 1, 2]))
     assert dominant_class(block) == 1
 
 
 def test_export_ply(tmp_path):
-    block = Block(room="office_1", grid=(0, 0), xyz=np.array([[0.5, 0.5, 0.5]]),
-                  rgb=np.zeros((1, 3), dtype=np.int64), labels=np.array([0]))
+    block = make_block(xyz=np.array([[0.5, 0.5, 0.5]]), rgb=np.zeros((1, 3), dtype=np.int64), labels=np.array([0]))
     path = tmp_path / "out.ply"
     export_ply(block, np.array([0]), {0: (255, 0, 0)}, path)
     text = path.read_text().splitlines()
@@ -247,8 +266,8 @@ def test_export_ply(tmp_path):
 
 def test_export_ply_counts_and_palette(tmp_path):
     rng = np.random.default_rng(0)
-    block = Block(room="office_1", grid=(0, 0), xyz=rng.uniform(0, 1, (17, 3)),
-                  rgb=np.zeros((17, 3), dtype=np.int64), labels=rng.integers(0, 3, 17))
+    block = make_block(xyz=rng.uniform(0, 1, (17, 3)), rgb=np.zeros((17, 3), dtype=np.int64),
+                       labels=rng.integers(0, 3, 17))
     path = tmp_path / "out.ply"
     export_ply(block, block.labels, DEFAULT_PALETTE, path)
     lines = path.read_text().splitlines()
@@ -262,8 +281,7 @@ def test_export_ply_counts_and_palette(tmp_path):
 
 
 def test_export_ply_missing_palette_class():
-    block = Block(room="office_1", grid=(0, 0), xyz=np.zeros((2, 3)),
-                  rgb=np.zeros((2, 3), dtype=np.int64), labels=np.array([0, 4]))
+    block = make_block(xyz=np.zeros((2, 3)), rgb=np.zeros((2, 3), dtype=np.int64), labels=np.array([0, 4]))
     with pytest.raises(ValidationError, match="4"):
         export_ply(block, block.labels, {0: (1, 2, 3)}, "/tmp/nope.ply")
 
@@ -273,7 +291,12 @@ def test_export_ply_missing_palette_class():
 def test_partition_property_random_rooms(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 400))
-    room = make_room(rng.uniform(-3, 3, size=(n, 3)))
+    xyz = rng.uniform(-3, 3, size=(n, 3))
+    flat = rng.random(3) < 0.25  # some rooms are flat on an axis
+    xyz[:, flat] = xyz[0, flat]
+    room = make_room(xyz, rgb=rng.integers(0, 256, size=(n, 3)))
     blocks = partition_blocks(room)
     assert sum(len(b) for b in blocks) == n
     assert len({b.grid for b in blocks}) == len(blocks)
+    for block in blocks:
+        assert featurize_block(block).tobytes() == room_wide_features(block, room).tobytes()
