@@ -52,6 +52,11 @@ class Tape:
 
     def __exit__(self, *exc):
         _stack().pop()
+        # nodes and their tape point at each other (and exp's vjp at its own
+        # output), so cut every link: refcounting then frees the graph
+        for node in self.nodes:
+            node.parents, node._vjp, node.tape = (), None, None
+        self.nodes.clear()
         return False
 
     def __len__(self):
@@ -312,11 +317,10 @@ def relu(a) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def max_over_points(a) -> tuple[Tensor, np.ndarray]:
-    """Per-feature maximum over the point axis of a [P, F] tensor.
+def max_over_points(a) -> Tensor:
+    """Per-feature maximum over the point axis of a [P, F] tensor, as an [F] tensor.
 
-    Returns the pooled [F] tensor and the argmax row per feature.  The
-    gradient of each feature flows only to its argmax point; ties break
+    The gradient of each feature flows only to its argmax point; ties break
     toward the lowest point index (numpy argmax convention).
     """
     a = _lift(a)
@@ -329,10 +333,9 @@ def max_over_points(a) -> tuple[Tensor, np.ndarray]:
     routing = Tensor(routing)
 
     def vjp(g):
-        spread = broadcast_to(reshape(g, (1, a.shape[1])), a.shape)
-        return (mul(routing, spread),)
+        return (mul(routing, reshape(g, (1, a.shape[1]))),)
 
-    return _record(out, (a,), vjp), argmax
+    return _record(out, (a,), vjp)
 
 
 def take_rows(a, rows) -> Tensor:

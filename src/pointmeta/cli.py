@@ -98,22 +98,24 @@ def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
     areas = _field(spec, "areas", _list_of(dict), source=source)
     if not areas:
         raise ConfigError(f"{source}: needs a non-empty 'areas' list")
+    shared = dict(
+        density=_field(spec, "density", float, 110.0, source),
+        color_noise=_field(spec, "color_noise", float, 6.0, source),
+        room_tint=_field(spec, "room_tint", float, 14.0, source),
+        classes=_field(spec, "classes", _list_of(str), DEFAULT_CLASSES, source),
+    )
     out = []
     for entry in areas:
         rooms = _field(entry, "rooms", dict, source=source)
         for room_type in rooms:
             if room_type not in DEFAULT_TEMPLATES:
                 raise ConfigError(f"no synthetic template for room type {room_type!r}")
-        out.append(
-            SyntheticAreaSpec(
-                name=_field(entry, "name", str, source=source),
-                rooms=tuple((t, _field(entry, f"rooms.{t}", int, source=source)) for t in rooms),
-                density=_field(spec, "density", float, 110.0, source),
-                color_noise=_field(spec, "color_noise", float, 6.0, source),
-                room_tint=_field(spec, "room_tint", float, 14.0, source),
-                classes=_field(spec, "classes", _list_of(str), DEFAULT_CLASSES, source),
-            )
-        )
+        name = _field(entry, "name", str, source=source)
+        counts = tuple((t, _field(entry, f"rooms.{t}", int, source=source)) for t in rooms)
+        try:
+            out.append(SyntheticAreaSpec(name=name, rooms=counts, **shared))
+        except ConfigError as exc:
+            raise ConfigError(f"{source} {exc}") from exc
     return out
 
 

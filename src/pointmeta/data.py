@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 ROOM_TYPES = (
     "office",
@@ -54,6 +54,25 @@ DEFAULT_PALETTE = {
 }
 
 
+def check_points(name, xyz, rgb, labels, n_classes: int | None = None, linenos=None) -> None:
+    """Raise a ValidationError naming the first point that breaks a point rule.
+
+    Rules: at least one point, finite XYZ, RGB in 0..255, and a label in [0, n_classes)
+    when ``n_classes`` is given.  A point is named ``name:linenos[row]``, else ``name point row``.
+    """
+    if len(xyz) == 0:
+        raise ValidationError(f"{name}: empty room, no points")
+    rules = [
+        (~np.isfinite(xyz).all(axis=1), "non-finite coordinates"),
+        (((rgb < 0) | (rgb > 255)).any(axis=1), "color outside [0, 255]"),
+    ]
+    if n_classes is not None:
+        rules.append(((labels < 0) | (labels >= n_classes), f"label not in the {n_classes}-class vocabulary"))
+    row, what = min([(int(np.argmax(bad)), what) for bad, what in rules if bad.any()], default=(0, None))
+    if what:
+        raise ValidationError(f"{name}:{linenos[row]}: {what}" if linenos is not None else f"{name} point {row}: {what}")
+
+
 @dataclass
 class Room:
     name: str
@@ -65,12 +84,7 @@ class Room:
     def __post_init__(self):
         if len(self.xyz) != len(self.labels) or len(self.xyz) != len(self.rgb):
             raise ValidationError(f"room {self.name}: points/colors/labels lengths differ")
-        if len(self.xyz) < 1:
-            raise ValidationError(f"room {self.name}: empty room")
-        if not np.isfinite(self.xyz).all():
-            raise ValidationError(f"room {self.name}: non-finite coordinates")
-        if self.rgb.min() < 0 or self.rgb.max() > 255:
-            raise ValidationError(f"room {self.name}: colors outside [0, 255]")
+        check_points(f"room {self.name}", self.xyz, self.rgb, self.labels)
         if self.room_type not in ROOM_TYPES:
             raise ValidationError(f"room {self.name}: unknown room type {self.room_type!r}")
 
@@ -102,10 +116,7 @@ class Area:
 
     def __post_init__(self):
         for room in self.rooms:
-            if room.labels.min() < 0 or room.labels.max() >= len(self.classes):
-                raise ValidationError(
-                    f"area {self.name}: room {room.name} has labels outside the {len(self.classes)}-class vocabulary"
-                )
+            check_points(f"area {self.name} room {room.name}", room.xyz, room.rgb, room.labels, len(self.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -149,43 +160,40 @@ def _room_name_parts(stem: str) -> tuple[str, int]:
     return room_type, int(index)
 
 
+ROOM_DTYPE = np.dtype([("xyz", "f8", 3), ("rgb", "i8", 3), ("labels", "i8")])
+
+
+def _parse_points(lines) -> np.ndarray | None:
+    """The ``x y z r g b label`` table of ``lines``, or None if a line is malformed."""
+    if not lines:
+        return np.zeros(0, ROOM_DTYPE)  # loadtxt warns on empty input
+    try:  # full-line comments are already dropped, so a trailing "# note" is a field count error
+        return np.loadtxt(lines, dtype=ROOM_DTYPE, comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
 def load_room(path, vocab) -> Room:
     """Parse one canonical room file, validating labels against the vocabulary."""
     path = Path(path)
     room_type, _ = _room_name_parts(path.stem)
-    xyz, rgb, labels = [], [], []
-    for lineno, line in _text_lines(path):
-        parts = line.split()
-        if len(parts) != 7:
-            raise ValidationError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-        try:
-            x, y, z = (float(v) for v in parts[:3])
-            r, g, b = (int(v) for v in parts[3:6])
-            label = int(parts[6])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        if not (0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255):
-            raise ValidationError(f"{path}:{lineno}: color out of range [0, 255]")
-        if not (0 <= label < len(vocab)):
-            raise ValidationError(f"{path}:{lineno}: label {label} not in vocabulary of size {len(vocab)}")
-        xyz.append((x, y, z))
-        rgb.append((r, g, b))
-        labels.append(label)
-    if not xyz:
-        raise ValidationError(f"{path}: empty room file")
-    return Room(
-        name=path.stem,
-        room_type=room_type,
-        xyz=np.asarray(xyz, dtype=np.float64),
-        rgb=np.asarray(rgb, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+    numbered = list(_text_lines(path))
+    linenos, lines = [n for n, _ in numbered], [line for _, line in numbered]
+    table = _parse_points(lines)
+    if table is None:
+        bad = next(i for i, line in enumerate(lines) if _parse_points([line]) is None)
+        if bad:  # a point rule broken on an earlier line is reported first
+            prefix = _parse_points(lines[:bad])
+            check_points(path, prefix["xyz"], prefix["rgb"], prefix["labels"], len(vocab), linenos)
+        raise ValidationError(f"{path}:{linenos[bad]}: expected 'x y z r g b label' with integer r g b label, got {lines[bad]!r}")
+    xyz, rgb, labels = (np.ascontiguousarray(table[key]) for key in ROOM_DTYPE.names)
+    check_points(path, xyz, rgb, labels, len(vocab), linenos)
+    return Room(name=path.stem, room_type=room_type, xyz=xyz, rgb=rgb, labels=labels)
 
 
 def write_room(room: Room, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (x, y, z), (r, g, b), label in zip(room.xyz, room.rgb, room.labels):
-            fh.write(f"{x:.6f} {y:.6f} {z:.6f} {int(r)} {int(g)} {int(b)} {int(label)}\n")
+    table = np.column_stack([room.xyz, room.rgb, room.labels])
+    Path(path).write_text("%.6f %.6f %.6f %d %d %d %d\n" * len(room) % tuple(table.ravel().tolist()), encoding="utf-8")
 
 
 def load_area(directory, vocab, name: str | None = None) -> Area:
@@ -340,6 +348,19 @@ class SyntheticAreaSpec:
     classes: tuple[str, ...] = DEFAULT_CLASSES
     templates: dict = field(default_factory=lambda: DEFAULT_TEMPLATES)
 
+    def __post_init__(self):
+        if not (np.isfinite(self.density) and self.density > 0):
+            raise ConfigError(f"density must be finite and > 0, got {self.density}")
+        if not (np.isfinite(self.color_noise) and self.color_noise >= 0):
+            raise ConfigError(f"color_noise must be finite and >= 0, got {self.color_noise}")
+        if not 0 <= self.room_tint <= 255:  # a larger shift only saturates the colors
+            raise ConfigError(f"room_tint must be in [0, 255], got {self.room_tint}")
+        for room_type, count in self.rooms:
+            if count < 0:
+                raise ConfigError(f"rooms.{room_type} must be >= 0, got {count}")
+        if sum(count for _, count in self.rooms) < 1:
+            raise ConfigError(f"area {self.name}: rooms must hold at least one room")
+
 
 def _sample_rect(rng, fixed_axis: int, level: float, lo: tuple[float, float], hi: tuple[float, float], density: float) -> np.ndarray:
     """Uniform points on an axis-aligned rectangle; count = round(area * density)."""
@@ -435,22 +456,14 @@ def export_ply(block: Block, labels, palette, path) -> None:
     labels = np.asarray(labels)
     if len(labels) != len(block):
         raise ValidationError(f"labels length {len(labels)} != point count {len(block)}")
-    missing = sorted(set(labels.tolist()) - set(palette))
+    classes, inverse = np.unique(labels, return_inverse=True)
+    missing = sorted(set(classes.tolist()) - set(palette))
     if missing:
         raise ValidationError(f"palette has no colors for classes {missing}")
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(block)}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-        "end_header",
-    ]
-    for (x, y, z), label in zip(block.xyz, labels):
-        r, g, b = palette[int(label)]
-        lines.append(f"{x:.6f} {y:.6f} {z:.6f} {int(r)} {int(g)} {int(b)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    colors = np.array([palette[int(c)] for c in classes]).reshape(-1, 3)[inverse]
+    header = (
+        f"ply\nformat ascii 1.0\nelement vertex {len(block)}\nproperty float x\nproperty float y\nproperty float z\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
+    )
+    body = "%.6f %.6f %.6f %d %d %d\n" * len(block) % tuple(np.column_stack([block.xyz, colors]).ravel().tolist())
+    Path(path).write_text(header + body, encoding="ascii")

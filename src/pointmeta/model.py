@@ -145,7 +145,7 @@ def tnet_transform(config: PointNetConfig, params, xyz) -> Tensor:
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise DimensionError(f"tnet_transform expects [P, 3] coordinates, got {xyz.shape}")
     h = _dense_chain(tensors, "tnet.mlp", len(TNET_MLP_WIDTHS), xyz)
-    pooled, _ = max_over_points(h)
+    pooled = max_over_points(h)
     h = reshape(pooled, (1, pooled.shape[0]))
     h = _dense_chain(tensors, "tnet.fc", len(TNET_FC_WIDTHS), h)
     matrix = reshape(matmul(h, tensors["tnet.out.w"]) + tensors["tnet.out.b"], (3, 3))
@@ -181,7 +181,7 @@ def forward(config: PointNetConfig, params, features, return_pooled: bool = Fals
         inputs = (Tensor(x),)
     local = _dense_chain(tensors, "mlp1", len(config.mlp1_widths), *inputs)
     deep = _dense_chain(tensors, "mlp2", len(config.mlp2_widths), local)
-    pooled, _ = max_over_points(deep)
+    pooled = max_over_points(deep)
     h = _dense_chain(tensors, "head", len(config.seg_head_widths), local, reshape(pooled, (1, pooled.shape[0])))
     logits = take_rows(matmul(h, tensors["out.w"]) + tensors["out.b"], np.argsort(order))
     if return_pooled:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from pointmeta.autodiff import (
     Tensor,
     backward,
     cross_entropy,
+    exp,
     finite_diff_gradient,
     grad_array,
     matmul,
@@ -76,16 +80,26 @@ def test_relu_gradient_at_scalar_points():
         assert g["x"].data == expected
 
 
+def pooled_and_routing(x):
+    """max_over_points of ``x`` and d sum(pooled) / dx, the 0/1 map of each feature's argmax row."""
+    x = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True, name="x")
+    with Tape() as tape:
+        pooled = max_over_points(x)
+        g = backward(sum_(pooled), tape, {"x": x})
+    return pooled, g["x"].data
+
+
 def test_max_over_points_values_and_argmax():
-    pooled, argmax = max_over_points(Tensor([[1.0, 5.0], [3.0, 2.0]]))
+    pooled, routing = pooled_and_routing([[1.0, 5.0], [3.0, 2.0]])
     assert np.array_equal(pooled.data, [3.0, 5.0])
-    assert np.array_equal(argmax, [1, 0])
+    assert np.array_equal(np.argmax(routing, axis=0), [1, 0])
+    assert np.array_equal(routing.sum(axis=0), [1.0, 1.0])
 
 
 def test_max_over_points_single_point():
-    pooled, argmax = max_over_points(Tensor([[4.0, 4.0]]))
+    pooled, routing = pooled_and_routing([[4.0, 4.0]])
     assert np.array_equal(pooled.data, [4.0, 4.0])
-    assert np.array_equal(argmax, [0, 0])
+    assert np.array_equal(routing, [[1.0, 1.0]])
 
 
 def test_max_over_points_empty_error():
@@ -96,7 +110,7 @@ def test_max_over_points_empty_error():
 def test_max_over_points_routes_gradient_to_argmax_only():
     x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True, name="x")
     with Tape() as tape:
-        pooled, _ = max_over_points(x)
+        pooled = max_over_points(x)
         g = backward(sum_(pooled), tape, {"x": x})
     assert np.array_equal(g["x"].data, [[0.0, 1.0], [1.0, 0.0]])
 
@@ -107,8 +121,8 @@ def test_max_over_points_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(7, 4))
     perm = rng.permutation(7)
-    pooled, _ = max_over_points(Tensor(x))
-    permuted, _ = max_over_points(Tensor(x[perm]))
+    pooled = max_over_points(Tensor(x))
+    permuted = max_over_points(Tensor(x[perm]))
     assert np.array_equal(pooled.data, permuted.data)
 
 
@@ -388,6 +402,24 @@ def test_second_order_gradients_through_inner_step():
         phi_val = w0 - beta * 2 * (w0 - a)
         expected = (1 - 2 * beta) * 2 * (phi_val - b)
         assert g["w"].data == pytest.approx(expected, rel=1e-12)
+
+
+def test_tape_exit_frees_the_graph():
+    # the caller still holds the tape and the loss after the block, as meta_gradient does;
+    # with the cyclic collector off, only refcounting can free the intermediate
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True, name="x")
+    gc.disable()
+    try:
+        with Tape() as tape:
+            hidden = exp(x * x)  # exp's vjp closes over its own output
+            loss = sum_(hidden)
+            backward(loss, tape, {"x": x}, create_graph=True)
+            alive = weakref.ref(hidden)
+            del hidden
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert len(tape) == 0 and loss.parents == ()
 
 
 def test_param_store_rejects_mixed_dtypes():

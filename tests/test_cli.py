@@ -102,8 +102,19 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"areas": [{"name": "X", "rooms": {"office": "x"}}]}, "rooms.office"),
         ({"areas": [1]}, "areas"),
         ({"classes": 5}, "classes"),
+        ({"color_noise": -1}, "color_noise"),
+        ({"room_tint": -1}, "room_tint"),
+        ({"room_tint": 1e300}, "room_tint"),
+        ({"density": "nan"}, "density"),
+        ({"density": -5}, "density"),
+        ({"density": 0}, "density"),
+        ({"areas": [{"name": "X", "rooms": {"office": -1}}]}, "rooms.office"),
+        ({"areas": [{"name": "X", "rooms": {"office": 0}}]}, "rooms"),
     ],
-    ids=["density", "room_count", "area_entry", "classes"],
+    ids=[
+        "density", "room_count", "area_entry", "classes", "negative_color_noise", "negative_room_tint",
+        "huge_room_tint", "nan_density", "negative_density", "zero_density", "negative_room_count", "no_rooms",
+    ],
 )
 def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):
     spec = tmp_path / "bad.json"

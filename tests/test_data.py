@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,99 @@ def test_load_room_bad_label_and_line_number(tmp_path):
     path.write_text("0 0 0 1 1 1 0\n0 0 0 1 1 1 99\n")
     with pytest.raises(ValidationError, match=":2"):
         load_room(path, DEFAULT_CLASSES)
+
+
+GOOD_LINE = "0.5 0.5 0.5 1 2 3 0"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "0 0 0 1 1 1",  # six fields
+        "0 0 x 1 1 1 0",  # not a number
+        "0 0 0 1 6.5 1 0",  # a fractional color
+        "0 0 0 1 1 1 0 # note",  # a trailing comment
+        "nan 0 0 1 1 1 0",  # a non-finite coordinate
+        "0 0 0 300 1 1 0",  # a color out of range
+        "0 0 0 1 1 1 99",  # a label outside the vocabulary
+    ],
+    ids=["field_count", "not_a_number", "fractional_color", "trailing_comment", "nan", "color_300", "label_99"],
+)
+def test_load_room_names_the_bad_line(tmp_path, bad):
+    path = tmp_path / "office_1.txt"
+    # comment and blank lines before the bad line still count
+    path.write_text(f"# header\n{GOOD_LINE}\n\n   \n# note\n{GOOD_LINE}\n{bad}\n{GOOD_LINE}\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:7: "):
+        load_room(path, DEFAULT_CLASSES)
+
+
+def test_load_room_names_the_first_of_two_bad_lines(tmp_path):
+    # a broken point rule on line 2 comes before a parse error on line 3, and vice versa
+    path = tmp_path / "office_1.txt"
+    path.write_text(f"{GOOD_LINE}\n0 0 0 300 1 1 0\n0 0 0 1 1\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: color"):
+        load_room(path, DEFAULT_CLASSES)
+    path.write_text(f"{GOOD_LINE}\n0 0 0 1 1\n0 0 0 300 1 1 0\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: expected"):
+        load_room(path, DEFAULT_CLASSES)
+
+
+def write_room_oracle(room) -> bytes:
+    """The per-line room writer that the table writer must match byte for byte."""
+    return "".join(
+        f"{x:.6f} {y:.6f} {z:.6f} {int(r)} {int(g)} {int(b)} {int(label)}\n"
+        for (x, y, z), (r, g, b), label in zip(room.xyz, room.rgb, room.labels)
+    ).encode("utf-8")
+
+
+def read_room_oracle(text: str):
+    """The per-line room reader: float() for coordinates, int() for colors and labels."""
+    rows = [line.split() for line in text.splitlines()]
+    return (
+        np.array([[float(v) for v in row[:3]] for row in rows], dtype=np.float64),
+        np.array([[int(v) for v in row[3:6]] for row in rows], dtype=np.int64),
+        np.array([int(row[6]) for row in rows], dtype=np.int64),
+    )
+
+
+def export_ply_oracle(block, labels, palette) -> bytes:
+    """The per-line PLY writer that the table writer must match byte for byte."""
+    lines = [
+        "ply", "format ascii 1.0", f"element vertex {len(block)}", "property float x", "property float y",
+        "property float z", "property uchar red", "property uchar green", "property uchar blue", "end_header",
+    ]
+    for (x, y, z), label in zip(block.xyz, labels):
+        r, g, b = palette[int(label)]
+        lines.append(f"{x:.6f} {y:.6f} {z:.6f} {int(r)} {int(g)} {int(b)}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# every value in every color channel, plus random points with extreme coordinates
+ALL_COLORS = np.stack([np.arange(256), 255 - np.arange(256), (7 * np.arange(256)) % 256], axis=1)
+COORDS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0, -4e-7, 5e-7, 0.5e-6, -1e15])
+POINTS = st.lists(st.tuples(COORDS, COORDS, COORDS, *[st.integers(0, 255)] * 3, st.integers(0, 12)), max_size=40)
+VOCAB_13 = tuple(f"class_{i}" for i in range(13))
+
+
+@given(POINTS, st.integers(0, 255))
+@settings(max_examples=40, deadline=None)
+def test_room_and_ply_writers_match_the_per_line_oracle(tmp_path_factory, points, shift):
+    drawn = np.array(points, dtype=object).reshape(-1, 7)
+    room = make_room(
+        np.concatenate([np.linspace(-3.0, 3.0, 3 * 256).reshape(-1, 3), drawn[:, :3].astype(np.float64)]),
+        rgb=np.concatenate([np.roll(ALL_COLORS, shift, axis=0), drawn[:, 3:6].astype(np.int64)]),
+        labels=np.concatenate([np.arange(256) % 4 * 3, drawn[:, 6].astype(np.int64)]),  # classes 0, 3, 6, 9 and drawn ones
+    )
+    path = tmp_path_factory.mktemp("room") / "office_1.txt"
+    write_room(room, path)
+    assert path.read_bytes() == write_room_oracle(room)
+    back = load_room(path, VOCAB_13)
+    for got, want in zip((back.xyz, back.rgb, back.labels), read_room_oracle(path.read_text())):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    block, ply = make_block(room.xyz, room.rgb, room.labels), path.with_suffix(".ply")
+    export_ply(block, block.labels, DEFAULT_PALETTE, ply)
+    assert ply.read_bytes() == export_ply_oracle(block, block.labels, DEFAULT_PALETTE)
 
 
 def test_room_roundtrip(tmp_path):
