@@ -129,12 +129,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
 
 def _lift(value, like: Tensor | None = None) -> Tensor:
     if isinstance(value, Tensor):
@@ -198,8 +192,9 @@ def mul(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
     out = Tensor(a.data * b.data)
 
-    def vjp(g):
-        return _unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)
+    def vjp(g):  # a constant factor (a mask, the routing, one-hot labels) gets no gradient
+        return (_unbroadcast(mul(g, b), a.shape) if a.requires_grad else None,
+                _unbroadcast(mul(g, a), b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
 
@@ -232,15 +227,16 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
 
-    def vjp(g):
-        return matmul(g, transpose(b)), matmul(transpose(a), g)
+    def vjp(g):  # constant input features get no gradient
+        return (matmul(g, transpose(b)) if a.requires_grad else None,
+                matmul(transpose(a), g) if b.requires_grad else None)
 
     return _record(out, (a, b), vjp)
 
 
 def transpose(a) -> Tensor:
     a = _lift(a)
-    out = Tensor(np.ascontiguousarray(a.data.T))
+    out = Tensor(a.data.T)  # a view: BLAS multiplies transposed operands in place
 
     def vjp(g):
         return (transpose(g),)
@@ -306,13 +302,16 @@ def log(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """Elementwise max(x, 0); the subgradient at exactly 0 is defined as 0."""
+    """Elementwise max(x, 0); the subgradient at exactly 0 is defined as 0.
+
+    Keeps only its output: the vjp builds the 0/1 mask from it when it runs,
+    so no mask lives from the forward to the backward.
+    """
     a = _lift(a)
     out = Tensor(np.maximum(a.data, 0))
-    mask = Tensor((a.data > 0).astype(a.data.dtype))
 
     def vjp(g):
-        return (mul(g, mask),)
+        return (mul(g, Tensor((out.data > 0).astype(out.data.dtype))),)
 
     return _record(out, (a,), vjp)
 
@@ -321,19 +320,19 @@ def max_over_points(a) -> Tensor:
     """Per-feature maximum over the point axis of a [P, F] tensor, as an [F] tensor.
 
     The gradient of each feature flows only to its argmax point; ties break
-    toward the lowest point index (numpy argmax convention).
+    toward the lowest point index (numpy argmax convention).  Keeps only the
+    [F] argmax; the vjp builds the [P, F] 0/1 routing from it when it runs.
     """
     a = _lift(a)
     if a.ndim != 2 or a.shape[0] < 1:
         raise DimensionError(f"max_over_points: need a non-empty [P, F] input, got {a.shape}")
-    argmax = np.argmax(a.data, axis=0)
-    out = Tensor(a.data[argmax, np.arange(a.shape[1])])
-    routing = np.zeros(a.shape, dtype=a.data.dtype)
-    routing[argmax, np.arange(a.shape[1])] = 1
-    routing = Tensor(routing)
+    argmax, columns = np.argmax(a.data, axis=0), np.arange(a.shape[1])
+    out = Tensor(a.data[argmax, columns])
 
     def vjp(g):
-        return (mul(routing, reshape(g, (1, a.shape[1]))),)
+        routing = np.zeros(a.shape, dtype=a.data.dtype)
+        routing[argmax, columns] = 1
+        return (mul(Tensor(routing), reshape(g, (1, a.shape[1]))),)
 
     return _record(out, (a,), vjp)
 
@@ -467,6 +466,10 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
     intermediates); tensors the loss does not depend on get zero gradients.
     With ``create_graph`` the returned gradients are recorded on the same
     tape and can be differentiated again.
+
+    A node's gradient is complete once the later nodes have run; the sweep
+    drops it as soon as the node has passed it to its parents, and keeps only
+    the gradients of the ``wrt`` tensors, which may be intermediates.
     """
     if loss.data.shape != ():
         raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
@@ -474,6 +477,7 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
         raise ContractError("loss was not produced on this tape")
 
     grads: dict[int, Tensor] = {id(loss): Tensor(np.ones((), dtype=loss.data.dtype))}
+    kept = {id(tensor) for tensor in wrt.values()}
     nodes = list(tape.nodes)
     # record the backward ops on the same tape (create_graph) or, with None
     # on top of the stack, nowhere
@@ -481,7 +485,7 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
     stack.append(tape if create_graph else None)
     try:
         for node in reversed(nodes):
-            g = grads.get(id(node))
+            g = grads.get(id(node)) if id(node) in kept else grads.pop(id(node), None)
             if g is None or node._vjp is None:
                 continue
             for parent, pg in zip(node.parents, node._vjp(g)):
@@ -492,13 +496,8 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
     finally:
         stack.pop()
 
-    result: GradientMap = {}
-    for name, tensor in wrt.items():
-        g = grads.get(id(tensor))
-        if g is None:
-            g = Tensor(np.zeros(tensor.shape, dtype=tensor.data.dtype))
-        result[name] = g
-    return result
+    return {name: grads[id(t)] if id(t) in grads else Tensor(np.zeros(t.shape, dtype=t.data.dtype))
+            for name, t in wrt.items()}
 
 
 def sgd_step(params: ParamStore, grads: Mapping[str, Tensor], lr: float) -> ParamStore:

@@ -57,12 +57,13 @@ DEFAULT_PALETTE = {
 def check_points(name, xyz, rgb, labels, n_classes: int | None = None, linenos=None) -> None:
     """Raise a ValidationError naming the first point that breaks a point rule.
 
-    Rules: at least one point, finite XYZ, RGB in 0..255, and a label in [0, n_classes)
-    when ``n_classes`` is given.  A point is named ``name:linenos[row]``, else ``name point row``.
+    Rules: at least one point, finite XYZ, RGB in 0..255 (unless ``xyz`` is None), and a
+    label in [0, n_classes) when ``n_classes`` is given.  A point is named
+    ``name:linenos[row]``, else ``name point row``.
     """
-    if len(xyz) == 0:
+    if len(labels) == 0:
         raise ValidationError(f"{name}: empty room, no points")
-    rules = [
+    rules = [] if xyz is None else [
         (~np.isfinite(xyz).all(axis=1), "non-finite coordinates"),
         (((rgb < 0) | (rgb > 255)).any(axis=1), "color outside [0, 255]"),
     ]
@@ -114,9 +115,9 @@ class Area:
     rooms: list[Room]
     classes: tuple[str, ...]
 
-    def __post_init__(self):
+    def __post_init__(self):  # each Room checked its points; only the vocabulary is new here
         for room in self.rooms:
-            check_points(f"area {self.name} room {room.name}", room.xyz, room.rgb, room.labels, len(self.classes))
+            check_points(f"area {self.name} room {room.name}", None, None, room.labels, len(self.classes))
 
 
 # ---------------------------------------------------------------------------
