@@ -442,12 +442,13 @@ def _gradcheck_battery(bits: int, seed: int, inject_error: bool) -> list[tuple[s
     dtype = np.float32 if bits == 32 else np.float64
     tol = 1e-4 if bits == 32 else 1e-7
     rng = np.random.default_rng(seed)
+    # 48 points against an mlp2 width of 32: the pool records only the rows that hold a maximum
     model = PointNetConfig(
-        num_classes=3, mlp1_widths=(8, 8), mlp2_widths=(8, 16, 32), seg_head_widths=(16, 8), points_per_block=16
+        num_classes=3, mlp1_widths=(8, 8), mlp2_widths=(8, 16, 32), seg_head_widths=(16, 8), points_per_block=48
     )
     params = init_params(model, seed=seed, dtype=dtype)
-    block = rng.normal(size=(16, 9)).astype(dtype)
-    labels = rng.integers(0, 3, size=16)
+    block = rng.normal(size=(48, 9)).astype(dtype)
+    labels = rng.integers(0, 3, size=48)
 
     def loss_of(store):
         with Tape():

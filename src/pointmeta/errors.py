@@ -30,7 +30,7 @@ class CapacityError(PointMetaError):
 
 
 class DivergenceError(PointMetaError):
-    """Training loss became non-finite or blew up."""
+    """Training loss or its gradient became non-finite, or the loss blew up."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")

@@ -5,9 +5,10 @@ MLP, a second per-point MLP whose output is max-pooled into a single global
 feature, and a segmentation head whose first layer is
 ``local @ W_local + global @ W_global``, the row-block split of one weight.
 An optional T-Net predicts a 3x3 transform for the raw XYZ columns before
-any of that.  No batch normalization anywhere: every forward is a pure
-function of (params, block), which keeps per-task gradient adaptation a
-plain gradient step.
+any of that.  Past F points, a max-pooled MLP of last width F is recorded
+only on F points that hold every column's maximum (see ``_pooled_chain``).
+No batch normalization anywhere: every forward is a pure function of
+(params, block), which keeps per-task adaptation a plain gradient step.
 """
 
 from __future__ import annotations
@@ -136,6 +137,22 @@ def _dense_chain(tensors, prefix: str, n_layers: int, *parts) -> Tensor:
     return x
 
 
+def _pooled_chain(tensors, prefix: str, n_layers: int, x: Tensor) -> Tensor:
+    """``max_over_points`` of a ``_dense_chain`` of last width F, recorded on at most F rows.
+
+    With P > F, an unrecorded pass marks each column's first maximum and pads the
+    set with the lowest other rows to exactly F (fixed shapes); the pool's values,
+    argmax and gradients stay the same, as the rows left out get none from it.
+    """
+    width = tensors[f"{prefix}.{n_layers - 1}.b"].shape[0]
+    if x.shape[0] > width:
+        deep = _dense_chain({n: Tensor(t.data) for n, t in tensors.items()}, prefix, n_layers, Tensor(x.data))
+        keep = np.isin(np.arange(x.shape[0]), np.argmax(deep.data, axis=0))
+        keep[np.flatnonzero(~keep)[: width - np.count_nonzero(keep)]] = True
+        x = take_rows(x, np.flatnonzero(keep))
+    return max_over_points(_dense_chain(tensors, prefix, n_layers, x))
+
+
 def tnet_transform(config: PointNetConfig, params, xyz) -> Tensor:
     """Apply the predicted 3x3 transform to [P, 3] coordinates."""
     if not config.use_tnet:
@@ -144,10 +161,8 @@ def tnet_transform(config: PointNetConfig, params, xyz) -> Tensor:
     xyz = xyz if isinstance(xyz, Tensor) else Tensor(xyz)
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise DimensionError(f"tnet_transform expects [P, 3] coordinates, got {xyz.shape}")
-    h = _dense_chain(tensors, "tnet.mlp", len(TNET_MLP_WIDTHS), xyz)
-    pooled = max_over_points(h)
-    h = reshape(pooled, (1, pooled.shape[0]))
-    h = _dense_chain(tensors, "tnet.fc", len(TNET_FC_WIDTHS), h)
+    pooled = _pooled_chain(tensors, "tnet.mlp", len(TNET_MLP_WIDTHS), xyz)
+    h = _dense_chain(tensors, "tnet.fc", len(TNET_FC_WIDTHS), reshape(pooled, (1, pooled.shape[0])))
     matrix = reshape(matmul(h, tensors["tnet.out.w"]) + tensors["tnet.out.b"], (3, 3))
     return matmul(xyz, matrix)
 
@@ -180,13 +195,10 @@ def forward(config: PointNetConfig, params, features, return_pooled: bool = Fals
     else:
         inputs = (Tensor(x),)
     local = _dense_chain(tensors, "mlp1", len(config.mlp1_widths), *inputs)
-    deep = _dense_chain(tensors, "mlp2", len(config.mlp2_widths), local)
-    pooled = max_over_points(deep)
+    pooled = _pooled_chain(tensors, "mlp2", len(config.mlp2_widths), local)
     h = _dense_chain(tensors, "head", len(config.seg_head_widths), local, reshape(pooled, (1, pooled.shape[0])))
     logits = take_rows(matmul(h, tensors["out.w"]) + tensors["out.b"], np.argsort(order))
-    if return_pooled:
-        return logits, pooled
-    return logits
+    return (logits, pooled) if return_pooled else logits
 
 
 def predict_labels(logits) -> np.ndarray:

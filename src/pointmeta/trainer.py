@@ -165,6 +165,8 @@ def meta_step(state: TrainState, tasks, config: MetaConfig) -> TrainState:
     grads, loss = meta_gradient(state.theta, tasks, config)
     if not math.isfinite(loss):
         raise DivergenceError(state.step, f"query loss became {loss}")
+    if not all(np.isfinite(g).all() for g in grads.values()):
+        raise DivergenceError(state.step, "a meta-gradient became non-finite")
     theta = sgd_step(state.theta, grads, config.alpha)
     return TrainState(
         theta=theta,

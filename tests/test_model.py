@@ -22,6 +22,16 @@ MINI = PointNetConfig(
     seg_head_widths=(16, 8),
     points_per_block=16,
 )
+MINI_TNET = PointNetConfig(
+    num_classes=3, use_tnet=True, mlp1_widths=(8, 8), mlp2_widths=(8, 16, 32), seg_head_widths=(16, 8)
+)
+
+
+def nudged_tnet(params, rng):
+    """``params`` with the T-Net output layer moved off its exact zero init, so its gradient is generic."""
+    arrays = {n: a.copy() for n, a in params.items()}
+    arrays["tnet.out.w"] += (rng.normal(size=arrays["tnet.out.w"].shape) * 0.05).astype(arrays["tnet.out.w"].dtype)
+    return ParamStore(arrays)
 
 
 def test_init_deterministic_per_seed():
@@ -61,33 +71,48 @@ def test_param_count_independent_of_points_per_block():
 
 def test_forward_permutation_equivariance_bit_exact():
     rng = np.random.default_rng(3)
-    params = init_params(MINI, seed=1)
-    block = rng.normal(size=(20, 9)).astype(np.float32)
-    perm = rng.permutation(20)
-    out, pooled = forward(MINI, params, block, return_pooled=True)
-    out_p, pooled_p = forward(MINI, params, block[perm], return_pooled=True)
-    assert np.array_equal(out.data[perm], out_p.data)
-    assert np.array_equal(pooled.data, pooled_p.data)
+    # 20 points fit the mlp2 width of 32; 40 are gathered to 32 rows before
+    # recording, and 80 are gathered for the T-Net's width of 64 as well
+    for config, points in ((MINI, 20), (MINI, 40), (MINI_TNET, 80)):
+        params = nudged_tnet(init_params(config, seed=1), rng) if config.use_tnet else init_params(config, seed=1)
+        block = rng.normal(size=(points, 9)).astype(np.float32)
+        perm = rng.permutation(points)
+        out, pooled = forward(config, params, block, return_pooled=True)
+        out_p, pooled_p = forward(config, params, block[perm], return_pooled=True)
+        assert np.array_equal(out.data[perm], out_p.data)
+        assert np.array_equal(pooled.data, pooled_p.data)
+
+
+def _chain(params, prefix, n_layers, h):
+    # numpy reference of a stack of dense relu layers
+    for i in range(n_layers):
+        h = np.maximum(h @ params[f"{prefix}.{i}.w"] + params[f"{prefix}.{i}.b"], 0)
+    return h
 
 
 def _concatenated_head_logits(config, params, x):
-    # numpy reference with the head applied to concat(local, broadcast(global))
-    def chain(prefix, n_layers, h):
-        for i in range(n_layers):
-            h = np.maximum(h @ params[f"{prefix}.{i}.w"] + params[f"{prefix}.{i}.b"], 0)
-        return h
-
-    local = chain("mlp1", len(config.mlp1_widths), x)
-    pooled = chain("mlp2", len(config.mlp2_widths), local).max(axis=0)
-    h = chain("head", len(config.seg_head_widths), np.hstack([local, np.broadcast_to(pooled, (len(x), pooled.size))]))
+    # numpy reference with the head applied to concat(local, broadcast(global));
+    # every pool, the T-Net's too, takes its maximum over all points
+    if config.use_tnet:
+        tnet = _chain(params, "tnet.fc", 1, _chain(params, "tnet.mlp", 2, x[:, :3]).max(axis=0, keepdims=True))
+        x = np.hstack([x[:, :3] @ (tnet @ params["tnet.out.w"] + params["tnet.out.b"]).reshape(3, 3), x[:, 3:]])
+    local = _chain(params, "mlp1", len(config.mlp1_widths), x)
+    pooled = _chain(params, "mlp2", len(config.mlp2_widths), local).max(axis=0)
+    h = _chain(params, "head", len(config.seg_head_widths),
+               np.hstack([local, np.broadcast_to(pooled, (len(x), pooled.size))]))
     return h @ params["out.w"] + params["out.b"]
 
 
 def test_forward_matches_concatenated_head_reference():
-    params = init_params(MINI, seed=4, dtype=np.float64)
-    block = np.random.default_rng(5).normal(size=(20, 9))
-    expected = _concatenated_head_logits(MINI, params, block)
-    assert np.allclose(forward(MINI, params, block).data, expected, rtol=1e-12, atol=1e-12)
+    # the reference pools all rows; at 40 points the network records 32 of
+    # them, and at 80 points with the T-Net also 64 for the T-Net's pool
+    rng = np.random.default_rng(5)
+    for config, points in ((MINI, 20), (MINI, 40), (MINI_TNET, 80)):
+        params = init_params(config, seed=4, dtype=np.float64)
+        params = nudged_tnet(params, rng) if config.use_tnet else params
+        block = rng.normal(size=(points, 9))
+        expected = _concatenated_head_logits(config, params, block)
+        assert np.allclose(forward(config, params, block).data, expected, rtol=1e-12, atol=1e-12), points
 
 
 def test_forward_zero_params_uniform_logits():
@@ -141,12 +166,8 @@ def test_tnet_gradient_matches_finite_differences():
     config = PointNetConfig(
         num_classes=2, use_tnet=True, mlp1_widths=(4,), mlp2_widths=(4,), seg_head_widths=(4,)
     )
-    params = init_params(config, seed=3, dtype=np.float64)
-    # nudge the tnet output layer off the exact zero init so its gradient is generic
-    arrays = {n: a.copy() for n, a in params.items()}
     rng = np.random.default_rng(4)
-    arrays["tnet.out.w"] += rng.normal(size=arrays["tnet.out.w"].shape) * 0.05
-    params = ParamStore(arrays)
+    params = nudged_tnet(init_params(config, seed=3, dtype=np.float64), rng)
     xyz = rng.normal(size=(4, 3))
 
     def loss_of(store):
@@ -166,28 +187,51 @@ def test_tnet_gradient_matches_finite_differences():
 
 
 def test_forward_gradient_with_tnet_matches_finite_differences():
-    # covers the split first layer of mlp1: [tnet(xyz), rest] never concatenated
+    # covers the split first layer of mlp1: [tnet(xyz), rest] never concatenated;
+    # 80 points exceed both pool widths (6 for mlp2, 64 for the T-Net), so both
+    # pools record only the gathered rows
     config = PointNetConfig(num_classes=3, use_tnet=True, mlp1_widths=(4,), mlp2_widths=(4, 6), seg_head_widths=(4,))
-    params = init_params(config, seed=5, dtype=np.float64)
-    arrays = {n: a.copy() for n, a in params.items()}
     rng = np.random.default_rng(6)
-    arrays["tnet.out.w"] += rng.normal(size=arrays["tnet.out.w"].shape) * 0.05
-    params = ParamStore(arrays)
-    block = rng.normal(size=(6, 9))
-    labels = rng.integers(0, 3, size=6)
+    params = nudged_tnet(init_params(config, seed=5, dtype=np.float64), rng)
+    for points in (6, 80):
+        block = rng.normal(size=(points, 9))
+        labels = rng.integers(0, 3, size=points)
 
-    def loss_of(store):
-        with Tape():
-            return cross_entropy(forward(config, store.tensors(), block), labels).item()
+        def loss_of(store):
+            with Tape():
+                return cross_entropy(forward(config, store.tensors(), block), labels).item()
 
-    fd = finite_diff_gradient(loss_of, params, eps=1e-5)
-    with Tape() as tape:
-        tt = params.tensors()
-        grads = backward(cross_entropy(forward(config, tt, block), labels), tape, tt)
-    for name in params.keys():
-        ad = grad_array(grads[name])
-        scale = np.maximum(np.maximum(np.abs(ad), np.abs(fd[name])), 1e-3)
-        assert (np.abs(ad - fd[name]) / scale).max() <= 1e-6, name
+        fd = finite_diff_gradient(loss_of, params, eps=1e-5)
+        with Tape() as tape:
+            tt = params.tensors()
+            grads = backward(cross_entropy(forward(config, tt, block), labels), tape, tt)
+        for name in params.keys():
+            ad = grad_array(grads[name])
+            scale = np.maximum(np.maximum(np.abs(ad), np.abs(fd[name])), 1e-3)
+            assert (np.abs(ad - fd[name]) / scale).max() <= 1e-6, (points, name)
+
+
+def test_tape_shapes_fixed_past_pool_width():
+    # two 100-point blocks whose mlp2 pools peak on different numbers of
+    # distinct rows record the same node shapes, forward and double backward:
+    # the pool records exactly its width of 32 rows either way
+    rng = np.random.default_rng(8)
+    params = init_params(MINI, seed=2)
+    blocks = [rng.normal(size=(100, 9)).astype(np.float32) for _ in range(2)]
+    labels = rng.integers(0, 3, size=100)
+
+    def recorded_shapes(block):
+        with Tape() as tape:
+            tt = params.tensors()
+            backward(cross_entropy(forward(MINI, tt, block), labels), tape, tt, create_graph=True)
+            return [node.shape for node in tape.nodes]
+
+    def peak_rows(block):
+        deep = _chain(params, "mlp2", len(MINI.mlp2_widths), _chain(params, "mlp1", len(MINI.mlp1_widths), block))
+        return np.unique(np.argmax(deep, axis=0)).size
+
+    assert peak_rows(blocks[0]) != peak_rows(blocks[1])
+    assert recorded_shapes(blocks[0]) == recorded_shapes(blocks[1])
 
 
 def test_config_validation():

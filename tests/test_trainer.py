@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pointmeta import model as model_module
+from pointmeta import trainer as trainer_module
 from pointmeta.autodiff import ParamStore, Tensor, add, finite_diff_gradient
 from pointmeta.data import DEFAULT_CLASSES, Area, Room, SyntheticAreaSpec, generate_synthetic_area
 from pointmeta.errors import ConfigError, DivergenceError
@@ -194,52 +195,78 @@ def test_meta_gradient_second_order_matches_finite_differences(steps, monkeypatc
     # meta-gradient against central differences of the adapted query loss.
     # Each checked parameter's meta-gradient runs through the whole network's
     # Hessian-vector product, so a subset of tensors exercises every vjp under
-    # create_graph: relu masks, max-pool routing and transposed views.
-    task = SegmentationTask(random_episode(16, 2, 2, num_classes=3, seed=0), GRADCHECK_MODEL)
+    # create_graph: relu masks, max-pool routing and transposed views.  At 48
+    # points, past the mlp2 width of 32, the pool records only gathered rows.
     theta = init_params(GRADCHECK_MODEL, seed=1, dtype=np.float64)
     beta, names = 0.5, ("mlp1.0.w", "mlp2.2.b", "head.1.w", "out.b")
+    for points in (16, 48):
+        task = SegmentationTask(random_episode(points, 2, 2, num_classes=3, seed=0), GRADCHECK_MODEL)
 
-    def adapted_query_loss(subset):
-        store = ParamStore({n: subset[n] if n in subset else a for n, a in theta.items()})
-        return task.query_loss(inner_adapt(store, task, beta, steps)).item()
+        def adapted_query_loss(subset):
+            store = ParamStore({n: subset[n] if n in subset else a for n, a in theta.items()})
+            return task.query_loss(inner_adapt(store, task, beta, steps)).item()
 
-    fd = finite_diff_gradient(adapted_query_loss, ParamStore({n: theta[n] for n in names}), eps=1e-6)
+        fd = finite_diff_gradient(adapted_query_loss, ParamStore({n: theta[n] for n in names}), eps=1e-6)
 
-    def worst_error(mode):
-        config = config_with(beta=beta, inner_steps=steps, gradient_mode=mode)
-        grads, _ = meta_gradient(theta, [task], config)
-        # floor 1e-3: below it the oracle's own rounding noise dominates
-        return max(
-            (np.abs(grads[n] - fd[n]) / np.maximum(np.maximum(np.abs(grads[n]), np.abs(fd[n])), 1e-3)).max()
-            for n in names
-        )
+        def worst_error(mode):
+            config = config_with(beta=beta, inner_steps=steps, gradient_mode=mode)
+            grads, _ = meta_gradient(theta, [task], config)
+            # floor 1e-3: below it the oracle's own rounding noise dominates
+            return max(
+                (np.abs(grads[n] - fd[n]) / np.maximum(np.maximum(np.abs(grads[n]), np.abs(fd[n])), 1e-3)).max()
+                for n in names
+            )
 
-    # worst seen 1.1e-7 (one step) and 1.9e-7 (two steps)
-    assert worst_error("second_order") <= 1e-5
-    # negative controls, both near 1: first order drops the inner-step terms,
-    # and a relu vjp that ignores its mask is wrong from the first sweep on
-    assert worst_error("first_order") > 0.1
-    monkeypatch.setattr(model_module, "relu", relu_ignoring_its_mask)
-    assert worst_error("second_order") > 0.1
+        # worst seen at 16 points: 1.1e-7 (one step) and 1.9e-7 (two steps);
+        # at 48 points: 2.1e-7 and 1.4e-7
+        assert worst_error("second_order") <= 1e-5, points
+        # negative controls, both near 1: first order drops the inner-step terms,
+        # and a relu vjp that ignores its mask is wrong from the first sweep on
+        assert worst_error("first_order") > 0.1, points
+        with monkeypatch.context() as patched:
+            patched.setattr(model_module, "relu", relu_ignoring_its_mask)
+            assert worst_error("second_order") > 0.1, points
 
 
 def test_second_order_meta_gradient_peak_memory():
-    # default widths, P=128, 2 support and 2 query blocks, float32. The traced
-    # peak is exact for fixed shapes: 21.2 MB when the backward kept every
+    # default widths, 2 support and 2 query blocks, float32. The traced peak
+    # is exact for fixed shapes. At P=128: 21.2 MB when the backward kept every
     # node's gradient, the relu masks and the max-pool routing, and copied on
     # transpose; 19.8 MB with only the copy gone; 12.3 MB when each sweep
-    # drops what it is done with
-    config_128 = PointNetConfig(num_classes=len(DEFAULT_CLASSES), points_per_block=128)
-    task = SegmentationTask(random_episode(128, 2, 2, config_128.num_classes, seed=0, dtype=np.float32), config_128)
-    theta = init_params(config_128, seed=0)
-    config = config_with(beta=1e-2, gradient_mode="second_order")
-    tracemalloc.start()
-    try:
-        meta_gradient(theta, [task], config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
+    # drops what it is done with. At P=1024: 71.6 MB when mlp2 was recorded on
+    # every point, 43.6 MB when it is recorded on the 256 gathered rows only
+    for points, bound_mb in ((128, 16), (1024, 56)):
+        model = PointNetConfig(num_classes=len(DEFAULT_CLASSES), points_per_block=points)
+        task = SegmentationTask(random_episode(points, 2, 2, model.num_classes, seed=0, dtype=np.float32), model)
+        theta = init_params(model, seed=0)
+        config = config_with(beta=1e-2, gradient_mode="second_order")
+        tracemalloc.start()
+        try:
+            meta_gradient(theta, [task], config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, f"P={points}: peak traced memory {peak / 2**20:.1f} MB"
+
+
+def test_pretrain_non_finite_gradient_keeps_pre_step_state(small_distribution, monkeypatch):
+    # a finite loss with a NaN gradient stops the step it happens on, before
+    # theta turns NaN, and the error carries the state that step started from
+    started = []
+
+    def poisoned(theta, tasks, config):
+        grads, loss = meta_gradient(theta, tasks, config)
+        started.append(theta)
+        if len(started) == 2:
+            grads["out.b"] = np.full_like(grads["out.b"], np.nan)
+        return grads, loss
+
+    monkeypatch.setattr(trainer_module, "meta_gradient", poisoned)
+    with pytest.raises(DivergenceError) as info:
+        pretrain(small_distribution, config_with(alpha=1e-3, beta=1e-3, steps_per_epoch=4), TINY_MODEL, init_seed=0)
+    state = info.value.last_state
+    assert info.value.step == 1 and state.step == 1 and len(started) == 2
+    assert all(np.array_equal(state.theta[n], started[1][n]) for n in state.theta.keys())
 
 
 @pytest.mark.parametrize("mode", ["first_order", "second_order"])
