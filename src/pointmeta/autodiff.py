@@ -31,7 +31,8 @@ def _stack() -> list:
     return _LOCAL.stack
 
 
-def _active_tape():
+def active_tape():
+    """The tape new operations record on, or None when nothing records."""
     stack = _stack()
     return stack[-1] if stack else None
 
@@ -66,15 +67,14 @@ class Tape:
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode AD.
 
-    Leaves created with ``requires_grad=True`` (typically named parameters)
+    Leaves created with ``requires_grad=True`` (typically parameters)
     collect gradients; everything else is an op output whose ``_vjp`` maps
     the output gradient to per-parent gradients.
     """
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.requires_grad = requires_grad
-        self.name = name
         self.parents: tuple[Tensor, ...] = ()
         self._vjp: Callable | None = None
         self.tape: Tape | None = None
@@ -102,32 +102,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _lift(value, like: Tensor | None = None) -> Tensor:
@@ -144,7 +126,7 @@ def _lift_pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
-    tape = _active_tape()
+    tape = active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.parents = parents
@@ -183,7 +165,7 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(neg(g), b.shape)
+        return _unbroadcast(g, a.shape), _unbroadcast(mul(g, -1.0), b.shape)
 
     return _record(out, (a, b), vjp)
 
@@ -205,20 +187,10 @@ def div(a, b) -> Tensor:
 
     def vjp(g):
         da = div(g, b)
-        db = neg(div(mul(g, a), mul(b, b)))
+        db = mul(div(mul(g, a), mul(b, b)), -1.0)
         return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
 
     return _record(out, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = _lift(a)
-    out = Tensor(-a.data)
-
-    def vjp(g):
-        return (neg(g),)
-
-    return _record(out, (a,), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -254,16 +226,6 @@ def reshape(a, shape) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = _lift(a)
-    out = Tensor(np.ascontiguousarray(np.broadcast_to(a.data, shape)))
-
-    def vjp(g):
-        return (_unbroadcast(g, a.shape),)
-
-    return _record(out, (a,), vjp)
-
-
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
@@ -276,7 +238,8 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
             g = reshape(g, tuple(kept))
         elif axis is None and not keepdims:
             g = reshape(g, (1,) * a.ndim)
-        return (broadcast_to(g, a.shape),)
+        # times ones broadcasts g back to a's shape; x * 1 is exactly x
+        return (mul(g, np.ones(a.shape, dtype=g.dtype)),)
 
     return _record(out, (a,), vjp)
 
@@ -396,7 +359,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # parameters and gradients
 
 
-class ParamStore:
+class ParamStore(Mapping):
     """Ordered ``name -> ndarray`` parameter store with a single precision.
 
     Stores are treated as immutable: updates return new stores.  Arrays are
@@ -404,9 +367,7 @@ class ParamStore:
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray], dtype=None):
-        self._arrays: dict[str, np.ndarray] = {}
-        for name, value in arrays.items():
-            self._arrays[name] = np.asarray(value, dtype=dtype)
+        self._arrays = {name: np.asarray(value, dtype=dtype) for name, value in arrays.items()}
         dtypes = {a.dtype for a in self._arrays.values()}
         if len(dtypes) > 1:
             raise ContractError(f"mixed parameter dtypes: {sorted(map(str, dtypes))}")
@@ -417,20 +378,8 @@ class ParamStore:
             return np.dtype(np.float32)
         return next(iter(self._arrays.values())).dtype
 
-    def keys(self):
-        return self._arrays.keys()
-
-    def items(self):
-        return self._arrays.items()
-
-    def values(self):
-        return self._arrays.values()
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
 
     def __len__(self):
         return len(self._arrays)
@@ -445,21 +394,18 @@ class ParamStore:
         return ParamStore({n: a.astype(dtype) for n, a in self._arrays.items()})
 
     def tensors(self) -> dict[str, Tensor]:
-        """Fresh named leaf tensors, one per parameter."""
-        return {n: Tensor(a, requires_grad=True, name=n) for n, a in self._arrays.items()}
+        """Fresh leaf tensors, one per parameter, keyed by name."""
+        return {n: Tensor(a, requires_grad=True) for n, a in self._arrays.items()}
 
     def num_values(self) -> int:
         return sum(a.size for a in self._arrays.values())
-
-
-GradientMap = dict[str, Tensor]
 
 
 def grad_array(g) -> np.ndarray:
     return g.data if isinstance(g, Tensor) else np.asarray(g)
 
 
-def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: bool = False) -> GradientMap:
+def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: bool = False) -> dict[str, Tensor]:
     """Gradients of a scalar ``loss`` with respect to the ``wrt`` tensors.
 
     ``wrt`` maps names to tensors that participated in the tape (leaves or

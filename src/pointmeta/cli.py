@@ -227,13 +227,14 @@ def _parse_run_config(cfg: dict):
     if "collaborative" in cfg.get("meta", {}):
         raise ConfigError("run config meta.collaborative is no longer read; set meta.tasks_per_batch instead")
     model_kwargs = dict(
-        input_dim=_field(cfg, "model.input_dim", int, 9),
         mlp1_widths=_field(cfg, "model.mlp1_widths", _list_of(int), (64, 64)),
         mlp2_widths=_field(cfg, "model.mlp2_widths", _list_of(int), (64, 128, 256)),
         seg_head_widths=_field(cfg, "model.seg_head_widths", _list_of(int), (128, 64)),
         use_tnet=_field(cfg, "model.use_tnet", boolean, False),
         points_per_block=_field(cfg, "data.points_per_block", int, 1024),
     )
+    if cfg.get("model", {}).get("input_dim", 9) != 9:
+        raise ConfigError("run config model.input_dim is no longer read; featurized blocks always have 9 columns")
     seeds = {"init": _field(cfg, "seeds.init", int, 0), "tasks": _field(cfg, "seeds.tasks", int, 0)}
     return _field(cfg, "data.root", str), spec, meta, model_kwargs, seeds
 
@@ -273,10 +274,7 @@ def cmd_pretrain(args) -> int:
     wanted = _field(cfg, "data.areas", _list_of(str), ())
     sweep = _field(cfg, "meta.beta_sweep", _list_of(float), ())
     areas, vocab = load_dataset(root)
-    if wanted:
-        areas = [a for a in areas if a.name in wanted]
-        if len(areas) != len(wanted):
-            raise ConfigError(f"areas not found in {root}: {sorted(set(wanted) - {a.name for a in areas})}")
+    areas = _select_areas(areas, wanted, "run config data.areas", root)
     out = Path(args.out)
     if sweep:
         for beta in sweep:
@@ -289,6 +287,14 @@ def cmd_pretrain(args) -> int:
         print(f"pretrained {len(state.history)} steps, final query loss {final}")
     write_manifest(out, "pretrain", cfg, seeds, {str(args.config): _sha256_file(args.config)} | _prefixed_tree(root))
     return 0
+
+
+def _select_areas(areas, wanted, source: str, root) -> list:
+    """The areas named in ``wanted`` (all when it is empty), in dataset order; a repeat is harmless."""
+    unknown = sorted(set(wanted) - {a.name for a in areas})
+    if unknown:
+        raise ConfigError(f"{source} names areas not in {root}: {unknown}; it has {[a.name for a in areas]}")
+    return [a for a in areas if a.name in wanted] if wanted else areas
 
 
 def _prefixed_tree(root) -> dict[str, str]:
@@ -305,10 +311,7 @@ def cmd_adapt_eval(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     areas, vocab = load_dataset(args.data)
     if args.areas:
-        wanted = args.areas.split(",")
-        areas = [a for a in areas if a.name in wanted]
-        if not areas:
-            raise ConfigError(f"no matching areas among {wanted}")
+        areas = _select_areas(areas, args.areas.split(","), "--areas", args.data)
     if len(vocab) != model.num_classes:
         raise ConfigError(f"vocabulary size {len(vocab)} != checkpoint classes {model.num_classes}")
     spec = EpisodeSpec(ways=args.ways, shots=args.shots, query_multiplier=args.queries)
@@ -321,7 +324,7 @@ def cmd_adapt_eval(args) -> int:
         rng=np.random.default_rng(args.seed),
         beta=args.beta,
         inner_steps=args.inner_steps,
-        points_per_block=args.points_per_block or model.points_per_block,
+        points_per_block=args.points_per_block,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, matmul, max_over_points, relu, reshape, take_rows
+from .autodiff import ParamStore, Tensor, active_tape, matmul, max_over_points, relu, reshape, take_rows
 from .errors import ConfigError, DimensionError
 
 CHECKPOINT_MAGIC = "PMCKPT"
@@ -140,12 +140,13 @@ def _dense_chain(tensors, prefix: str, n_layers: int, *parts) -> Tensor:
 def _pooled_chain(tensors, prefix: str, n_layers: int, x: Tensor) -> Tensor:
     """``max_over_points`` of a ``_dense_chain`` of last width F, recorded on at most F rows.
 
-    With P > F, an unrecorded pass marks each column's first maximum and pads the
-    set with the lowest other rows to exactly F (fixed shapes); the pool's values,
-    argmax and gradients stay the same, as the rows left out get none from it.
+    With P > F while a tape records, an unrecorded pass marks each column's first
+    maximum and pads the set with the lowest other rows to exactly F (fixed shapes);
+    the pool's values, argmax and gradients stay the same, as the rows left out get
+    none from it.  With no tape recording, the chain runs once on all P rows.
     """
     width = tensors[f"{prefix}.{n_layers - 1}.b"].shape[0]
-    if x.shape[0] > width:
+    if x.shape[0] > width and active_tape() is not None:
         deep = _dense_chain({n: Tensor(t.data) for n, t in tensors.items()}, prefix, n_layers, Tensor(x.data))
         keep = np.isin(np.arange(x.shape[0]), np.argmax(deep.data, axis=0))
         keep[np.flatnonzero(~keep)[: width - np.count_nonzero(keep)]] = True

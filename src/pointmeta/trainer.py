@@ -255,9 +255,14 @@ def adapt_and_eval(
     """Sample episodes from the target areas, adapt on S, score on Q."""
     if episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
-    index = index_categories(
-        areas, mode=spec.category_mode, points_per_block=points_per_block or model.points_per_block
-    )
+    if inner_steps < 0:
+        raise ConfigError(f"inner_steps must be >= 0, got {inner_steps}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ConfigError(f"beta must be finite and >= 0, got {beta}")
+    if points_per_block is not None and points_per_block < 1:
+        raise ConfigError(f"points_per_block must be >= 1 or None (the model's), got {points_per_block}")
+    points = model.points_per_block if points_per_block is None else points_per_block
+    index = index_categories(areas, mode=spec.category_mode, points_per_block=points)
     total_cm = ConfusionMatrix.zeros(model.num_classes)
     per_episode = []
     for _ in range(episodes):

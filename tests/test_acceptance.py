@@ -195,6 +195,7 @@ def test_criterion_5_permutation_equivariance(fixture_model):
             assert np.array_equal(pooled.data, pooled_p.data)
 
 
+@pytest.mark.slow
 def test_criterion_6_learning_rate_trend(fixture_areas, fixture_model):
     with criterion(6, "learning-rate trend"):
         index = index_categories(list(fixture_areas.values()), points_per_block=POINTS_PER_BLOCK)
@@ -213,6 +214,7 @@ def test_criterion_6_learning_rate_trend(fixture_areas, fixture_model):
         assert wins >= 4, f"beta=1e-3 best in only {wins}/5 seeds"
 
 
+@pytest.mark.slow
 def test_criterion_7_meta_learning_efficacy(fixture_areas, fixture_model):
     with criterion(7, "meta-learning transfer efficacy"):
         spec = EpisodeSpec(ways=2, shots=6)

@@ -10,16 +10,20 @@ from pointmeta.autodiff import (
     ParamStore,
     Tape,
     Tensor,
+    add,
     backward,
     cross_entropy,
+    div,
     exp,
     finite_diff_gradient,
     grad_array,
     matmul,
     max_over_points,
+    mul,
     relu,
     scatter_rows,
     sgd_step,
+    sub,
     sum_,
     take_rows,
 )
@@ -63,7 +67,7 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 def test_relu_values_and_gradients():
-    x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True, name="x")
+    x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
     with Tape() as tape:
         y = relu(x)
         assert np.array_equal(y.data, [0.0, 0.0, 2.0])
@@ -74,7 +78,7 @@ def test_relu_values_and_gradients():
 
 def test_relu_gradient_at_scalar_points():
     for value, expected in [(3.0, 1.0), (-3.0, 0.0), (0.0, 0.0)]:
-        x = Tensor(np.array(value), requires_grad=True, name="x")
+        x = Tensor(np.array(value), requires_grad=True)
         with Tape() as tape:
             g = backward(relu(x), tape, {"x": x})
         assert g["x"].data == expected
@@ -82,7 +86,7 @@ def test_relu_gradient_at_scalar_points():
 
 def pooled_and_routing(x):
     """max_over_points of ``x`` and d sum(pooled) / dx, the 0/1 map of each feature's argmax row."""
-    x = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True, name="x")
+    x = Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
     with Tape() as tape:
         pooled = max_over_points(x)
         g = backward(sum_(pooled), tape, {"x": x})
@@ -108,7 +112,7 @@ def test_max_over_points_empty_error():
 
 
 def test_max_over_points_routes_gradient_to_argmax_only():
-    x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True, name="x")
+    x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]), requires_grad=True)
     with Tape() as tape:
         pooled = max_over_points(x)
         g = backward(sum_(pooled), tape, {"x": x})
@@ -180,7 +184,7 @@ def test_row_ops_gradient_of_gradient(kind, rows):
     x0 = rng.normal(size=(m.shape[1], 3))
     c = rng.normal(size=(m.shape[0], 3))
     v = rng.normal(size=x0.shape)
-    x = Tensor(x0, requires_grad=True, name="x")
+    x = Tensor(x0, requires_grad=True)
     with Tape() as tape:
         g = backward(_cubic(op, c, x), tape, {"x": x}, create_graph=True)["x"]
         hv = backward(sum_(Tensor(v) * g), tape, {"x": x})["x"]
@@ -404,10 +408,67 @@ def test_second_order_gradients_through_inner_step():
         assert g["w"].data == pytest.approx(expected, rel=1e-12)
 
 
+def _summed_products(axis, keepdims):
+    # L = sum(s * s) with s = sum(x * y, axis): gradients 2 s y and 2 s x; the
+    # probe sum(u * dL/dx + w * dL/dy) has gradients 2 y r + 2 s w and 2 x r + 2 s u,
+    # where r = sum(u * y + w * x, axis)
+    def loss(x, y):
+        s = sum_(mul(x, y), axis=axis, keepdims=keepdims)
+        return sum_(mul(s, s))
+
+    def closed(x, y, u, w):
+        s, r = (x * y).sum(axis, keepdims=keepdims), (u * y + w * x).sum(axis, keepdims=keepdims)
+        return 2 * s * y, 2 * s * x, 2 * y * r + 2 * s * w, 2 * x * r + 2 * s * u
+
+    return loss, closed, (3, 4)
+
+
+def _cubed_difference():
+    # L = sum((x - y)^3) with y broadcast over rows: d = x - y, gradients 3 d^2 and
+    # -sum_rows(3 d^2); the probe has gradients 6 d (u - w) and -sum_rows(6 d (u - w))
+    def loss(x, y):
+        d = sub(x, y)
+        return sum_(mul(mul(d, d), d))
+
+    def closed(x, y, u, w):
+        d = x - y
+        return 3 * d * d, -(3 * d * d).sum(0, keepdims=True), 6 * d * (u - w), -(6 * d * (u - w)).sum(0, keepdims=True)
+
+    return loss, closed, (1, 4)
+
+
+def _quotient():
+    # L = sum(x / y): gradients 1 / y and -x / y^2; the probe has gradients
+    # -w / y^2 and -u / y^2 + 2 w x / y^3
+    def closed(x, y, u, w):
+        return 1 / y, -x / y**2, -w / y**2, -u / y**2 + 2 * w * x / y**3
+
+    return lambda x, y: sum_(div(x, y)), closed, (3, 4)
+
+
+@pytest.mark.parametrize(
+    "case", [_cubed_difference(), _quotient(), _summed_products(None, False), _summed_products(1, True)],
+    ids=["sub", "div", "sum-all", "sum-axis1-keepdims"],
+)
+def test_gradient_of_gradient_closed_form(case):
+    loss, closed, y_shape = case
+    rng = np.random.default_rng(4)
+    x0, u = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    y0, w = rng.uniform(0.5, 2.0, size=y_shape), rng.normal(size=y_shape)
+    x, y = Tensor(x0, requires_grad=True), Tensor(y0, requires_grad=True)
+    with Tape() as tape:
+        g = backward(loss(x, y), tape, {"x": x, "y": y}, create_graph=True)
+        probe = add(sum_(mul(Tensor(u), g["x"])), sum_(mul(Tensor(w), g["y"])))
+        h = backward(probe, tape, {"x": x, "y": y})
+    for got, want in zip((g["x"], g["y"], h["x"], h["y"]), closed(x0, y0, u, w)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+
 def test_tape_exit_frees_the_graph():
     # the caller still holds the tape and the loss after the block, as meta_gradient does;
     # with the cyclic collector off, only refcounting can free the intermediate
-    x = Tensor(np.array([0.5, -1.0]), requires_grad=True, name="x")
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
     gc.disable()
     try:
         with Tape() as tape:

@@ -3,11 +3,12 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pointmeta.cli import main
+from pointmeta.cli import _select_areas, main
 from pointmeta.model import load_checkpoint
 
 SYNTH_SPEC = {
@@ -195,6 +196,8 @@ def test_pretrain_missing_data_path(tmp_path):
         ("meta", "phase_betas", 5, "meta.phase_betas"),
         ("model", "mlp1_widths", 8, "model.mlp1_widths"),
         ("model", "use_tnet", "no", "model.use_tnet"),
+        ("model", "input_dim", 8, "model.input_dim"),
+        ("data", "areas", ["AreaA", "Nope", "Nope"], "['Nope']"),
     ],
 )
 def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):
@@ -205,6 +208,12 @@ def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, sectio
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_select_areas_keeps_dataset_order_and_ignores_repeats():
+    areas = [SimpleNamespace(name=n) for n in ("AreaA", "AreaB", "AreaC")]
+    assert _select_areas(areas, ("AreaC", "AreaA", "AreaC"), "data.areas", "root") == [areas[0], areas[2]]
+    assert _select_areas(areas, (), "data.areas", "root") == areas
 
 
 def test_pretrain_divergence_exit_code(dataset, tmp_path):
@@ -277,17 +286,19 @@ def test_adapt_eval_and_outputs(dataset, pretrained, tmp_path, capsys):
     assert mrows[-1][0] == "overall"
 
 
-def test_adapt_eval_zero_episodes_usage_error(dataset, pretrained, tmp_path):
-    code = main(
-        [
-            "adapt-eval",
-            "--checkpoint", str(pretrained / "ckpt_epoch2"),
-            "--data", str(dataset),
-            "--episodes", "0",
-            "--out", str(tmp_path / "x"),
-        ]
-    )
-    assert code == 2
+def test_adapt_eval_zero_episodes_usage_error(dataset, pretrained, tmp_path, capsys):
+    # each setting is checked where it is used, so none falls back or runs silently
+    for extra, named in (
+        (["--episodes", "0"], "episodes"),
+        (["--episodes", "1", "--inner-steps", "-1"], "inner_steps"),
+        (["--episodes", "1", "--points-per-block", "0"], "points_per_block"),
+        (["--episodes", "1", "--beta", "-1"], "beta"),
+        (["--episodes", "1", "--beta", "nan"], "beta"),
+        (["--episodes", "1", "--areas", "AreaB,Nope"], "Nope"),
+    ):
+        args = ["adapt-eval", "--checkpoint", str(pretrained / "ckpt_epoch2"), "--data", str(dataset), *extra]
+        assert main([*args, "--out", str(tmp_path / "x")]) == 2, extra
+        assert named in capsys.readouterr().err, extra
 
 
 def test_adapt_eval_capacity_error(dataset, pretrained, tmp_path):

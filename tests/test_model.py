@@ -1,6 +1,10 @@
+import contextlib
+import itertools
+
 import numpy as np
 import pytest
 
+from pointmeta import model as model_module
 from pointmeta.autodiff import ParamStore, Tape, Tensor, backward, cross_entropy, finite_diff_gradient, grad_array, sum_
 from pointmeta.errors import ConfigError, DimensionError
 from pointmeta.model import (
@@ -71,16 +75,37 @@ def test_param_count_independent_of_points_per_block():
 
 def test_forward_permutation_equivariance_bit_exact():
     rng = np.random.default_rng(3)
-    # 20 points fit the mlp2 width of 32; 40 are gathered to 32 rows before
-    # recording, and 80 are gathered for the T-Net's width of 64 as well
-    for config, points in ((MINI, 20), (MINI, 40), (MINI_TNET, 80)):
+    # 20 points fit the mlp2 width of 32; on a tape, 40 are gathered to 32 rows
+    # before recording, and 80 are gathered for the T-Net's width of 64 as well
+    for recording, (config, points) in itertools.product((False, True), ((MINI, 20), (MINI, 40), (MINI_TNET, 80))):
         params = nudged_tnet(init_params(config, seed=1), rng) if config.use_tnet else init_params(config, seed=1)
         block = rng.normal(size=(points, 9)).astype(np.float32)
         perm = rng.permutation(points)
-        out, pooled = forward(config, params, block, return_pooled=True)
-        out_p, pooled_p = forward(config, params, block[perm], return_pooled=True)
+        with Tape() if recording else contextlib.nullcontext():
+            out, pooled = forward(config, params, block, return_pooled=True)
+            out_p, pooled_p = forward(config, params, block[perm], return_pooled=True)
         assert np.array_equal(out.data[perm], out_p.data)
         assert np.array_equal(pooled.data, pooled_p.data)
+
+
+def test_untaped_forward_runs_the_pooled_chain_once(monkeypatch):
+    # past the mlp2 width of 32 only a recording tape needs the gather, which
+    # costs a second, unrecorded pass through the chain
+    calls, dense_chain = [], model_module._dense_chain
+
+    def counted(tensors, prefix, n_layers, *parts):
+        calls.append(prefix)
+        return dense_chain(tensors, prefix, n_layers, *parts)
+
+    monkeypatch.setattr(model_module, "_dense_chain", counted)
+    params = init_params(MINI, seed=1)
+    block = np.random.default_rng(9).normal(size=(40, 9)).astype(np.float32)
+    untaped = forward(MINI, params, block)
+    assert calls.count("mlp2") == 1
+    with Tape():
+        taped = forward(MINI, params, block)
+    assert calls.count("mlp2") == 3
+    assert np.array_equal(untaped.data, taped.data)
 
 
 def _chain(params, prefix, n_layers, h):
