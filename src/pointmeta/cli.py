@@ -24,7 +24,6 @@ from .autodiff import Tape, backward, cross_entropy, finite_diff_gradient, grad_
 from .data import (
     DEFAULT_CLASSES,
     DEFAULT_PALETTE,
-    DEFAULT_TEMPLATES,
     SyntheticAreaSpec,
     generate_synthetic_area,
     load_dataset,
@@ -52,20 +51,13 @@ def _sha256_file(path) -> str:
 
 
 def _fingerprint_tree(root) -> dict[str, str]:
-    root = Path(root)
-    if root.is_file():
-        return {root.name: _sha256_file(root)}
-    return {str(p.relative_to(root)): _sha256_file(p) for p in sorted(root.rglob("*")) if p.is_file()}
+    return {str(p.relative_to(root)): _sha256_file(p) for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
 def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs: dict[str, str]) -> None:
     """Fingerprint everything in ``out_dir`` and record the run parameters."""
     blob = json.dumps(config_obj, sort_keys=True).encode("utf-8")
-    outputs = {
-        str(p.relative_to(out_dir)): _sha256_file(p)
-        for p in sorted(out_dir.rglob("*"))
-        if p.is_file() and p.name != "manifest.json"
-    }
+    outputs = {rel: digest for rel, digest in _fingerprint_tree(out_dir).items() if Path(rel).name != "manifest.json"}
     manifest = {
         "tool": "pointmeta",
         "version": __version__,
@@ -104,13 +96,12 @@ def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
         room_tint=_field(spec, "room_tint", float, 14.0, source),
         classes=_field(spec, "classes", _list_of(str), DEFAULT_CLASSES, source),
     )
+    names = [_field(entry, "name", str, source=source) for entry in areas]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{source} areas: names must be distinct, got {names}")
     out = []
-    for entry in areas:
+    for name, entry in zip(names, areas):
         rooms = _field(entry, "rooms", dict, source=source)
-        for room_type in rooms:
-            if room_type not in DEFAULT_TEMPLATES:
-                raise ConfigError(f"no synthetic template for room type {room_type!r}")
-        name = _field(entry, "name", str, source=source)
         counts = tuple((t, _field(entry, f"rooms.{t}", int, source=source)) for t in rooms)
         try:
             out.append(SyntheticAreaSpec(name=name, rooms=counts, **shared))
@@ -128,10 +119,7 @@ def cmd_synth(args) -> int:
         area_seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
         areas.append(generate_synthetic_area(area_spec, seed=area_seed))
     write_dataset(areas, area_specs[0].classes, out)
-    for area in areas:
-        n_blocks = sum(len(partition_blocks(room)) for room in area.rooms)
-        n_points = sum(len(room) for room in area.rooms)
-        print(f"{area.name}: {len(area.rooms)} rooms, {n_points} points, {n_blocks} blocks")
+    _print_areas(areas)
     write_manifest(out, "synth", spec, {"seed": args.seed}, {str(args.spec): _sha256_file(args.spec)})
     return 0
 
@@ -143,12 +131,16 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     areas, vocab = load_dataset(args.data)
     print(f"vocabulary: {len(vocab)} classes ({', '.join(vocab)})")
+    _print_areas(areas, with_types=True)
+    return 0
+
+
+def _print_areas(areas, with_types: bool = False) -> None:
     for area in areas:
         n_blocks = sum(len(partition_blocks(room)) for room in area.rooms)
         n_points = sum(len(room) for room in area.rooms)
-        types = sorted({room.room_type for room in area.rooms})
-        print(f"{area.name}: {len(area.rooms)} rooms, {n_points} points, {n_blocks} blocks, types: {', '.join(types)}")
-    return 0
+        types = f", types: {', '.join(sorted({room.room_type for room in area.rooms}))}" if with_types else ""
+        print(f"{area.name}: {len(area.rooms)} rooms, {n_points} points, {n_blocks} blocks{types}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +189,12 @@ def _rgb(value) -> tuple[int, int, int]:
 _rgb.__name__ = "three integers in 0..255"
 
 
+def non_negative_int(value) -> int:  # the type of every seed: numpy rejects negative ones
+    if int(value) < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def boolean(value) -> bool:
     # bool("no") is True, so only JSON true/false are accepted
     if not isinstance(value, bool):
@@ -235,7 +233,7 @@ def _parse_run_config(cfg: dict):
     )
     if cfg.get("model", {}).get("input_dim", 9) != 9:
         raise ConfigError("run config model.input_dim is no longer read; featurized blocks always have 9 columns")
-    seeds = {"init": _field(cfg, "seeds.init", int, 0), "tasks": _field(cfg, "seeds.tasks", int, 0)}
+    seeds = {key: _field(cfg, f"seeds.{key}", non_negative_int, 0) for key in ("init", "tasks")}
     return _field(cfg, "data.root", str), spec, meta, model_kwargs, seeds
 
 
@@ -272,15 +270,16 @@ def cmd_pretrain(args) -> int:
     if args.seed is not None:
         seeds = {**seeds, "init": args.seed}
     wanted = _field(cfg, "data.areas", _list_of(str), ())
-    sweep = _field(cfg, "meta.beta_sweep", _list_of(float), ())
+    # every swept beta is range-checked before the first run trains
+    sweep = [replace(meta, beta=beta) for beta in _field(cfg, "meta.beta_sweep", _list_of(float), ())]
     areas, vocab = load_dataset(root)
     areas = _select_areas(areas, wanted, "run config data.areas", root)
     out = Path(args.out)
     if sweep:
-        for beta in sweep:
-            sub = out / f"beta_{beta:g}"
-            state, _ = _run_pretrain(areas, vocab, spec, replace(meta, beta=beta), model_kwargs, seeds, sub)
-            print(f"beta={beta:g}: final loss {state.losses[-1]:.4f}" if state.losses else f"beta={beta:g}: no steps")
+        for swept in sweep:
+            state, _ = _run_pretrain(areas, vocab, spec, swept, model_kwargs, seeds, out / f"beta_{swept.beta:g}")
+            final = f"final loss {state.losses[-1]:.4f}" if state.losses else "no steps"
+            print(f"beta={swept.beta:g}: {final}")
     else:
         state, _ = _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out)
         final = f"{state.losses[-1]:.4f}" if state.losses else "n/a (0 steps)"
@@ -306,8 +305,6 @@ def _prefixed_tree(root) -> dict[str, str]:
 
 
 def cmd_adapt_eval(args) -> int:
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     model, theta = load_checkpoint(args.checkpoint)
     areas, vocab = load_dataset(args.data)
     if args.areas:
@@ -364,7 +361,7 @@ def cmd_cross_validate(args) -> int:
     episodes = _field(cfg, "eval.episodes", int, 20)
     eval_beta = _field(cfg, "eval.beta", float, meta.beta)
     eval_steps = _field(cfg, "eval.inner_steps", int, meta.inner_steps)
-    eval_seed = _field(cfg, "eval.seed", int, 0)
+    eval_seed = _field(cfg, "eval.seed", non_negative_int, 0)
     areas, vocab = load_dataset(root)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -379,7 +376,7 @@ def cmd_cross_validate(args) -> int:
             report = adapt_and_eval(
                 state.theta, model, [target], spec, episodes=episodes,
                 rng=np.random.default_rng([eval_seed, names.index(source.name), names.index(target.name)]),
-                beta=eval_beta, inner_steps=eval_steps, points_per_block=model.points_per_block,
+                beta=eval_beta, inner_steps=eval_steps,
             )
             table[target.name][source.name] = repr(report.overall.oacc)
             print(f"pretrain {source.name} -> test {target.name}: oAcc {report.overall.oacc:.4f}")
@@ -441,7 +438,7 @@ def cmd_export_ply(args) -> int:
 # gradcheck
 
 
-def _gradcheck_battery(bits: int, seed: int, inject_error: bool) -> list[tuple[str, float, float, bool]]:
+def _gradcheck_battery(bits: int, seed: int, inject_error: bool) -> tuple[str, float, float]:
     dtype = np.float32 if bits == 32 else np.float64
     tol = 1e-4 if bits == 32 else 1e-7
     rng = np.random.default_rng(seed)
@@ -462,7 +459,6 @@ def _gradcheck_battery(bits: int, seed: int, inject_error: bool) -> list[tuple[s
         tt = params.tensors()
         grads = backward(cross_entropy(forward(model, tt, block), labels), tape, tt)
 
-    results = []
     names = sorted(params.keys())
     coords = rng.integers(0, 10**9, size=100)
     worst = 0.0
@@ -475,17 +471,13 @@ def _gradcheck_battery(bits: int, seed: int, inject_error: bool) -> list[tuple[s
             ad = ad * 1.5 + 1.0  # negative control: a deliberately wrong gradient
         rel = abs(ad - ref) / max(abs(ad), abs(ref), 1e-3)
         worst = max(worst, rel)
-    results.append((f"pointnet cross-entropy ({bits}-bit, 100 coords)", worst, tol, worst <= tol))
-    return results
+    return f"pointnet cross-entropy ({bits}-bit, 100 coords)", worst, tol
 
 
 def cmd_gradcheck(args) -> int:
-    results = _gradcheck_battery(args.bits, args.seed, args.inject_error)
-    ok = True
-    for name, worst, tol, passed in results:
-        ok &= passed
-        print(f"{'PASS' if passed else 'FAIL'} {name}: worst rel-err {worst:.3g} (tolerance {tol:g})")
-    return 0 if ok else 1
+    name, worst, tol = _gradcheck_battery(args.bits, args.seed, args.inject_error)
+    print(f"{'PASS' if worst <= tol else 'FAIL'} {name}: worst rel-err {worst:.3g} (tolerance {tol:g})")
+    return 0 if worst <= tol else 1
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--spec", required=True, help="synthetic dataset spec (JSON)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -510,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="meta-train an initialization")
     p.add_argument("--config", required=True, help="run configuration (JSON)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the init seed")
+    p.add_argument("--seed", type=non_negative_int, default=None, help="override the init seed")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("adapt-eval", help="adapt a checkpoint on target episodes and score")
@@ -524,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1e-3)
     p.add_argument("--inner-steps", type=int, default=1)
     p.add_argument("--points-per-block", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_adapt_eval)
 
@@ -538,13 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--room", required=True, help="canonical room file")
     p.add_argument("--vocab", required=True)
     p.add_argument("--palette", default=None, help="JSON class-id -> [r, g, b]")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_ply)
 
     p = sub.add_parser("gradcheck", help="check reverse-mode gradients against finite differences")
     p.add_argument("--bits", type=int, choices=(32, 64), default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -14,7 +14,7 @@ to learn while staying desk-scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +321,10 @@ class RoomTemplate:
     floor_color: tuple[int, int, int] = (145, 115, 85)
     ceiling_color: tuple[int, int, int] = (230, 230, 235)
 
+    @property
+    def labels(self) -> set[str]:
+        return {"floor", "ceiling", "wall"} | {item.label for item in self.furniture}
+
 
 TABLE = FurnitureSpec("table", (1, 3), (0.8, 1.6), (0.65, 0.8), (150, 95, 45))
 BIG_TABLE = FurnitureSpec("table", (1, 1), (2.0, 3.0), (0.7, 0.8), (150, 95, 45))
@@ -347,9 +351,10 @@ class SyntheticAreaSpec:
     color_noise: float = 6.0
     room_tint: float = 14.0  # per-room wall/floor color shift
     classes: tuple[str, ...] = DEFAULT_CLASSES
-    templates: dict = field(default_factory=lambda: DEFAULT_TEMPLATES)
 
-    def __post_init__(self):
+    def __post_init__(self):  # everything ingest must read back: one directory, a vocabulary, known room types
+        if not self.name.isprintable() or "/" in self.name or self.name in ("", ".", ".."):
+            raise ConfigError(f"area name must be one path component, got {self.name!r}")
         if not (np.isfinite(self.density) and self.density > 0):
             raise ConfigError(f"density must be finite and > 0, got {self.density}")
         if not (np.isfinite(self.color_noise) and self.color_noise >= 0):
@@ -357,10 +362,18 @@ class SyntheticAreaSpec:
         if not 0 <= self.room_tint <= 255:  # a larger shift only saturates the colors
             raise ConfigError(f"room_tint must be in [0, 255], got {self.room_tint}")
         for room_type, count in self.rooms:
+            if room_type not in DEFAULT_TEMPLATES:
+                raise ConfigError(f"no synthetic template for room type {room_type!r}")
             if count < 0:
                 raise ConfigError(f"rooms.{room_type} must be >= 0, got {count}")
         if sum(count for _, count in self.rooms) < 1:
             raise ConfigError(f"area {self.name}: rooms must hold at least one room")
+        one_word = all(c.isprintable() and c.split() == [c] for c in self.classes)
+        if not one_word or len(set(self.classes)) < len(self.classes):
+            raise ConfigError(f"classes must be distinct one-word names, got {list(self.classes)}")
+        missing = set().union(*(DEFAULT_TEMPLATES[t].labels for t, _ in self.rooms)) - set(self.classes)
+        if missing:
+            raise ConfigError(f"classes must name every template label, missing {sorted(missing)}")
 
 
 def _sample_rect(rng, fixed_axis: int, level: float, lo: tuple[float, float], hi: tuple[float, float], density: float) -> np.ndarray:
@@ -439,11 +452,9 @@ def generate_synthetic_area(spec: SyntheticAreaSpec, seed: int) -> Area:
     rooms = []
     counter = 0
     for room_type, count in spec.rooms:
-        if room_type not in spec.templates:
-            raise ValidationError(f"no template for room type {room_type!r}")
         for i in range(count):
             rng = np.random.default_rng([seed, counter])
-            rooms.append(_generate_room(spec.templates[room_type], spec, f"{room_type}_{i + 1}", rng))
+            rooms.append(_generate_room(DEFAULT_TEMPLATES[room_type], spec, f"{room_type}_{i + 1}", rng))
             counter += 1
     return Area(name=spec.name, rooms=rooms, classes=spec.classes)
 

@@ -11,7 +11,7 @@ share a block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -155,10 +155,6 @@ class TaskDistribution:
             raise IndexError(i)
         return sample_episode(self.index, self.spec, np.random.default_rng([self.seed, i]))
 
-    def __iter__(self):
-        for i in range(self.count):
-            yield self[i]
-
 
 def build_task_distribution(index: CategoryIndex, spec: EpisodeSpec, count: int, seed: int) -> TaskDistribution:
     if count < 0:
@@ -180,12 +176,7 @@ def write_episode_manifest(episodes, spec: EpisodeSpec, seed: int, path) -> None
 
     payload = {
         "seed": seed,
-        "spec": {
-            "ways": spec.ways,
-            "shots": spec.shots,
-            "query_multiplier": spec.query_multiplier,
-            "category_mode": spec.category_mode,
-        },
+        "spec": asdict(spec),
         "episodes": [
             {
                 "index": i,

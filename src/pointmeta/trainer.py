@@ -33,8 +33,8 @@ from .sampler import Episode, EpisodeSpec, TaskDistribution, index_categories, s
 
 GRADIENT_MODES = ("first_order", "second_order")
 
-# pretraining aborts once the query loss exceeds this multiple of its
-# starting value (or stops being finite)
+# meta_step raises once the query loss exceeds this multiple of the first
+# recorded loss (or stops being finite)
 DIVERGENCE_FACTOR = 1e4
 
 
@@ -50,10 +50,11 @@ class MetaConfig:
     phase_betas: tuple[float, ...] | None = None  # optional decay schedule
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
+        for key, beta in [("beta", self.beta)] + [("phase_betas", b) for b in self.phase_betas or ()]:
+            if not (math.isfinite(beta) and beta >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {beta}")
         if self.inner_steps < 1 or self.tasks_per_batch < 1:
             raise ConfigError("inner_steps and tasks_per_batch must be >= 1")
         if self.gradient_mode not in GRADIENT_MODES:
@@ -167,6 +168,8 @@ def meta_step(state: TrainState, tasks, config: MetaConfig) -> TrainState:
         raise DivergenceError(state.step, f"query loss became {loss}")
     if not all(np.isfinite(g).all() for g in grads.values()):
         raise DivergenceError(state.step, "a meta-gradient became non-finite")
+    if state.history and loss > DIVERGENCE_FACTOR * max(state.history[0][1], 1e-12):
+        raise DivergenceError(state.step + 1, f"query loss {loss:.3g} exceeded {DIVERGENCE_FACTOR:g} x initial")
     theta = sgd_step(state.theta, grads, config.alpha)
     return TrainState(
         theta=theta,
@@ -196,27 +199,16 @@ def pretrain(
     state = TrainState(theta=init_params(model, init_seed))
     if checkpoint_hook:
         checkpoint_hook(0, state)
-    initial_loss = None
-    cursor = 0
     for epoch in range(config.epochs):
         epoch_config = replace(config, beta=config.beta_for_epoch(epoch))
         for _ in range(config.steps_per_epoch):
-            episodes = [distribution[cursor + i] for i in range(config.tasks_per_batch)]
-            cursor += config.tasks_per_batch
-            tasks = [SegmentationTask(ep, model) for ep in episodes]
+            start = state.step * config.tasks_per_batch
+            tasks = [SegmentationTask(distribution[start + i], model) for i in range(config.tasks_per_batch)]
             try:
-                new_state = meta_step(state, tasks, epoch_config)
+                state = meta_step(state, tasks, epoch_config)
             except DivergenceError as exc:
                 exc.last_state = state
                 raise
-            loss = new_state.history[-1][1]
-            if initial_loss is None:
-                initial_loss = loss
-            elif loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
-                exc = DivergenceError(new_state.step, f"query loss {loss:.3g} exceeded {DIVERGENCE_FACTOR:g} x initial")
-                exc.last_state = state
-                raise exc
-            state = new_state
         if checkpoint_hook:
             checkpoint_hook(epoch + 1, state)
     return state

@@ -1,14 +1,20 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pointmeta.cli import _select_areas, main
+from pointmeta.data import DEFAULT_CLASSES
 from pointmeta.model import load_checkpoint
 
 SYNTH_SPEC = {
@@ -111,10 +117,20 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"density": 0}, "density"),
         ({"areas": [{"name": "X", "rooms": {"office": -1}}]}, "rooms.office"),
         ({"areas": [{"name": "X", "rooms": {"office": 0}}]}, "rooms"),
+        ({"classes": []}, "['box', 'ceiling', 'chair', 'floor', 'table', 'wall']"),
+        ({"classes": list(DEFAULT_CLASSES[:-1])}, "['box']"),
+        ({"classes": [*DEFAULT_CLASSES, "wall"]}, "distinct"),
+        ({"classes": [*DEFAULT_CLASSES, "coffee table"]}, "'coffee table'"),
+        ({"areas": [{"name": "", "rooms": {"office": 1}}]}, "area name"),
+        ({"areas": [{"name": "a/b", "rooms": {"office": 1}}]}, "'a/b'"),
+        ({"areas": [{"name": "..", "rooms": {"office": 1}}]}, "'..'"),
+        ({"areas": [{"name": "A", "rooms": {"office": 1}}, {"name": "A", "rooms": {"hallway": 1}}]}, "distinct"),
     ],
     ids=[
         "density", "room_count", "area_entry", "classes", "negative_color_noise", "negative_room_tint",
         "huge_room_tint", "nan_density", "negative_density", "zero_density", "negative_room_count", "no_rooms",
+        "no_classes", "missing_class", "repeated_class", "class_with_space", "empty_area_name", "area_name_path",
+        "area_name_parent", "repeated_area_name",
     ],
 )
 def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):
@@ -123,6 +139,58 @@ def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):
     assert main(["synth", "--spec", str(spec), "--seed", "0", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert named in err and str(spec) in err
+
+
+# density <= 40 keeps synthesis fast; the valid class lists hold every template label, in any order
+VALID = {
+    "density": st.floats(0.5, 40),
+    "color_noise": st.floats(0, 30),
+    "room_tint": st.floats(0, 255),
+    "classes": st.permutations([*DEFAULT_CLASSES, "lamp"]),
+    "name": st.text("AB_. ", min_size=1, max_size=3).filter(lambda name: name not in (".", "..")),
+    "rooms": st.dictionaries(st.sampled_from(["office", "hallway", "storage", "pantry", "lounge"]), st.integers(1, 2), min_size=1, max_size=2),
+}
+# the class lists miss template labels, repeat names or hold a space (a few happen to be valid)
+INVALID = {
+    "density": st.sampled_from([0, -5, "abc", float("nan"), float("inf")]),
+    "color_noise": st.sampled_from([-1, float("nan"), "x"]),
+    "room_tint": st.sampled_from([-1, 256, 1e300, float("nan")]),
+    "classes": st.lists(st.sampled_from([*DEFAULT_CLASSES, "big box", ""]), max_size=8),
+    "name": st.sampled_from(["", ".", "..", "a/b", "A\x00"]),
+    "rooms": st.dictionaries(
+        st.sampled_from(["office", "throne_room"]), st.one_of(st.integers(-1, 0), st.just("two")), max_size=2
+    ),
+}
+
+
+@st.composite
+def synth_specs(draw):
+    """A valid spec, or one with one or two of its values replaced by ones the spec must reject."""
+    broken = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(sorted(VALID)), min_size=1, max_size=2)))
+
+    def value(key):
+        return draw((INVALID if key in broken else VALID)[key])
+
+    areas = [{"name": value("name"), "rooms": value("rooms")} for _ in range(draw(st.integers(1, 2)))]
+    return {key: value(key) for key in ("density", "color_noise", "room_tint", "classes")} | {"areas": areas}
+
+
+@given(synth_specs())
+@settings(max_examples=40, deadline=None)
+def test_synth_spec_contract(spec):
+    # a spec either fails with a usage error naming its file, or writes a dataset that ingest reads back
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, out = Path(tmp) / "spec.json", Path(tmp) / "data"
+        spec_path.write_text(json.dumps(spec))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["synth", "--spec", str(spec_path), "--out", str(out)])
+            event(f"exit {code}")
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                assert str(spec_path) in err.getvalue()
+            else:
+                assert main(["ingest", "--data", str(out)]) == 0, err.getvalue()
 
 
 def test_ingest_prints_stats(dataset, capsys):
@@ -198,6 +266,13 @@ def test_pretrain_missing_data_path(tmp_path):
         ("model", "use_tnet", "no", "model.use_tnet"),
         ("model", "input_dim", 8, "model.input_dim"),
         ("data", "areas", ["AreaA", "Nope", "Nope"], "['Nope']"),
+        ("meta", "alpha", float("nan"), "alpha"),
+        ("meta", "beta", float("nan"), "beta"),
+        ("meta", "beta_sweep", [float("nan")], "beta"),
+        ("meta", "beta_sweep", [1e-2, float("nan")], "beta"),
+        ("meta", "phase_betas", [1e-3, float("nan")], "phase_betas"),
+        ("seeds", "init", -1, "seeds.init"),
+        ("seeds", "tasks", -1, "seeds.tasks"),
     ],
 )
 def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):
@@ -208,6 +283,35 @@ def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, sectio
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any training
+
+
+def test_cross_validate_negative_eval_seed_usage_error(dataset, tmp_path, capsys):
+    cfg = json.loads(json.dumps(RUN_CONFIG))
+    cfg["data"]["root"] = str(dataset)
+    cfg["eval"] = {"seed": -1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cross-validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "eval.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--spec", "s.json", "--out", "o"],
+        ["pretrain", "--config", "c.json", "--out", "o"],
+        ["adapt-eval", "--checkpoint", "c", "--data", "d", "--episodes", "1", "--out", "o"],
+        ["export-ply", "--checkpoint", "c", "--room", "r.txt", "--vocab", "v.txt", "--out", "o"],
+        ["gradcheck"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--seed", "-1"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_select_areas_keeps_dataset_order_and_ignores_repeats():

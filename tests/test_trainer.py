@@ -303,6 +303,19 @@ def test_meta_step_divergence_error():
         meta_step(state, [QuadraticTask(1.0, 2.0)], config_with())
 
 
+def test_meta_step_divergence_factor():
+    # the adapted query loss here is 2.25; it is compared with the first recorded loss,
+    # and the error names the step being taken
+    config = config_with()
+    assert meta_step(TrainState(theta=quad_theta(0.0)), [QuadraticTask(1.0, 2.0)], config).step == 1
+    calm = TrainState(theta=quad_theta(0.0), step=3, history=[(0, 1.0, 0.25, 0.1)])
+    assert meta_step(calm, [QuadraticTask(1.0, 2.0)], config).step == 4
+    tiny_start = TrainState(theta=quad_theta(0.0), step=3, history=[(0, 1e-4, 0.25, 0.1)])
+    with pytest.raises(DivergenceError) as info:
+        meta_step(tiny_start, [QuadraticTask(1.0, 2.0)], config)
+    assert info.value.step == 4 and "exceeded" in str(info.value)
+
+
 def test_segmentation_task_second_order_runs(small_distribution):
     episode = small_distribution[0]
     config = config_with(alpha=1e-3, beta=1e-2, gradient_mode="second_order")
