@@ -397,9 +397,6 @@ class ParamStore(Mapping):
         """Fresh leaf tensors, one per parameter, keyed by name."""
         return {n: Tensor(a, requires_grad=True) for n, a in self._arrays.items()}
 
-    def num_values(self) -> int:
-        return sum(a.size for a in self._arrays.values())
-
 
 def grad_array(g) -> np.ndarray:
     return g.data if isinstance(g, Tensor) else np.asarray(g)

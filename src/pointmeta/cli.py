@@ -99,6 +99,8 @@ def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
     names = [_field(entry, "name", str, source=source) for entry in areas]
     if len(set(names)) < len(names):
         raise ConfigError(f"{source} areas: names must be distinct, got {names}")
+    if {"vocab.txt", "manifest.json"} & set(names):  # the files synth writes next to the area directories
+        raise ConfigError(f"{source} areas: vocab.txt and manifest.json name synth's own outputs, got {names}")
     out = []
     for name, entry in zip(names, areas):
         rooms = _field(entry, "rooms", dict, source=source)

@@ -130,21 +130,25 @@ def write_vocab(classes, path) -> None:
             fh.write(f"{i} {name}\n")
 
 
-def _text_lines(path):
-    """(line number, stripped line) for each non-blank, non-comment line of a UTF-8 file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+def _read_text(path) -> str:
+    """The whole UTF-8 file, its CR LF and CR line ends read as LF."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _text_lines(text):
+    """(line number, stripped line) for each non-blank, non-comment line; only LF ends a line, not a form feed."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def load_vocab(path) -> tuple[str, ...]:
     classes = {}
-    for lineno, line in _text_lines(path):
+    for lineno, line in _text_lines(_read_text(path)):
         parts = line.split()
         if len(parts) != 2 or not parts[0].isdigit():
             raise ValidationError(f"{path}:{lineno}: expected 'label_id class_name'")
@@ -175,10 +179,24 @@ def _parse_points(lines) -> np.ndarray | None:
 
 
 def load_room(path, vocab) -> Room:
-    """Parse one canonical room file, validating labels against the vocabulary."""
+    """Parse one canonical room file, validating labels against the vocabulary.
+
+    A file without ``#`` is parsed whole and its points are checked by ``Room`` alone; a file
+    with comments, a blank file, or any failure is parsed line by line, naming ``path:line``.
+    """
     path = Path(path)
     room_type, _ = _room_name_parts(path.stem)
-    numbered = list(_text_lines(path))
+    text = _read_text(path)
+    # loadtxt skips the blank lines that _text_lines skips, but warns on a blank text
+    table = _parse_points(text.split("\n")) if "#" not in text and text.strip() else None
+    if table is not None:
+        try:
+            room = Room(path.stem, room_type, *(np.ascontiguousarray(table[key]) for key in ROOM_DTYPE.names))
+            check_points(path, None, None, room.labels, len(vocab))
+            return room
+        except ValidationError:
+            pass
+    numbered = list(_text_lines(text))
     linenos, lines = [n for n, _ in numbered], [line for _, line in numbered]
     table = _parse_points(lines)
     if table is None:
@@ -193,7 +211,8 @@ def load_room(path, vocab) -> Room:
 
 
 def write_room(room: Room, path) -> None:
-    table = np.column_stack([room.xyz, room.rgb, room.labels])
+    table = np.empty((len(room), 7), dtype=object)  # Python floats and ints, so no label is rounded through float64
+    table[:, :3], table[:, 3:6], table[:, 6] = room.xyz, room.rgb, room.labels
     Path(path).write_text("%.6f %.6f %.6f %d %d %d %d\n" * len(room) % tuple(table.ravel().tolist()), encoding="utf-8")
 
 

@@ -86,10 +86,6 @@ def layer_shapes(config: PointNetConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def num_params(config: PointNetConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in layer_shapes(config))
-
-
 def init_params(config: PointNetConfig, seed: int, dtype=np.float32) -> ParamStore:
     """Zero-mean uniform fan-in weights, zero biases, deterministic per seed.
 

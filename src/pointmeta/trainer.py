@@ -93,22 +93,6 @@ class SegmentationTask:
         return self._set_loss(params, self.episode.query)
 
 
-@dataclass
-class QuadraticTask:
-    """1-parameter analytic task: support (w-a)^2, query (w-b)^2."""
-
-    a: float
-    b: float
-
-    def support_loss(self, params) -> Tensor:
-        d = params["w"] - self.a
-        return d * d
-
-    def query_loss(self, params) -> Tensor:
-        d = params["w"] - self.b
-        return d * d
-
-
 def inner_adapt(theta: ParamStore, task, beta: float, steps: int = 1) -> ParamStore:
     """Adapt theta on the task's support set; theta itself is untouched."""
     phi = theta

@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import QuadraticTask
 from pointmeta.autodiff import ParamStore, Tape, backward, cross_entropy, finite_diff_gradient, grad_array
 from pointmeta.cli import main
 from pointmeta.data import SyntheticAreaSpec, generate_synthetic_area
 from pointmeta.metrics import ConfusionMatrix, accumulate, compute_metrics
 from pointmeta.model import PointNetConfig, forward, init_params
 from pointmeta.sampler import EpisodeSpec, build_task_distribution, index_categories, sample_episode
-from pointmeta.trainer import MetaConfig, QuadraticTask, adapt_and_eval, meta_gradient, pretrain
+from pointmeta.trainer import MetaConfig, adapt_and_eval, meta_gradient, pretrain
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -125,12 +125,14 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"areas": [{"name": "a/b", "rooms": {"office": 1}}]}, "'a/b'"),
         ({"areas": [{"name": "..", "rooms": {"office": 1}}]}, "'..'"),
         ({"areas": [{"name": "A", "rooms": {"office": 1}}, {"name": "A", "rooms": {"hallway": 1}}]}, "distinct"),
+        ({"areas": [{"name": "manifest.json", "rooms": {"office": 1}}]}, "'manifest.json'"),
+        ({"areas": [{"name": "A", "rooms": {"office": 1}}, {"name": "vocab.txt", "rooms": {"office": 1}}]}, "'vocab.txt'"),
     ],
     ids=[
         "density", "room_count", "area_entry", "classes", "negative_color_noise", "negative_room_tint",
         "huge_room_tint", "nan_density", "negative_density", "zero_density", "negative_room_count", "no_rooms",
         "no_classes", "missing_class", "repeated_class", "class_with_space", "empty_area_name", "area_name_path",
-        "area_name_parent", "repeated_area_name",
+        "area_name_parent", "repeated_area_name", "area_named_manifest", "area_named_vocab",
     ],
 )
 def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):
@@ -156,7 +158,7 @@ INVALID = {
     "color_noise": st.sampled_from([-1, float("nan"), "x"]),
     "room_tint": st.sampled_from([-1, 256, 1e300, float("nan")]),
     "classes": st.lists(st.sampled_from([*DEFAULT_CLASSES, "big box", ""]), max_size=8),
-    "name": st.sampled_from(["", ".", "..", "a/b", "A\x00"]),
+    "name": st.sampled_from(["", ".", "..", "a/b", "A\x00", "manifest.json", "vocab.txt"]),
     "rooms": st.dictionaries(
         st.sampled_from(["office", "throne_room"]), st.one_of(st.integers(-1, 0), st.just("two")), max_size=2
     ),
@@ -213,7 +215,7 @@ def test_ingest_non_utf8_usage_error(dataset, tmp_path, capsys, target):
     else:
         broken.write_bytes(broken.read_bytes() + b"\xff\xfe")
     assert main(["ingest", "--data", str(copy)]) == 2
-    assert str(broken) in capsys.readouterr().err
+    assert f"{broken}: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
 
 
 def test_pretrain_outputs(pretrained):

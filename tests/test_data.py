@@ -1,10 +1,13 @@
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointmeta import data as data_module
 from pointmeta.data import (
     DEFAULT_CLASSES,
     DEFAULT_PALETTE,
@@ -129,6 +132,46 @@ def test_load_room_names_the_first_of_two_bad_lines(tmp_path):
         load_room(path, DEFAULT_CLASSES)
 
 
+def test_load_room_not_utf8(tmp_path):
+    path = tmp_path / "office_1.txt"
+    path.write_bytes(f"{GOOD_LINE}\n".encode() + b"\xff\xfe\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not UTF-8 text \\(invalid start byte\\)$"):
+        load_room(path, DEFAULT_CLASSES)
+
+
+def test_load_room_whitespace_only_file_is_empty(tmp_path):
+    # loadtxt warns on input without data, and pytest turns that warning into an error
+    path = tmp_path / "office_1.txt"
+    path.write_text("\n  \n\t\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: empty room, no points$"):
+        load_room(path, DEFAULT_CLASSES)
+
+
+def test_load_room_reads_once_and_checks_each_rule_once(tmp_path, monkeypatch):
+    path = tmp_path / "office_1.txt"
+    path.write_text(f"{GOOD_LINE}\n\n  {GOOD_LINE}\t\n")
+    reads, checks = [], []
+    read_text, check_points = Path.read_text, data_module.check_points
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    def counting_check_points(name, xyz, rgb, labels, n_classes=None, linenos=None):
+        checks.append((xyz is not None, n_classes))
+        check_points(name, xyz, rgb, labels, n_classes, linenos)
+
+    def no_text_lines(text):
+        raise AssertionError("a valid file without comments took the line-numbered path")
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(data_module, "check_points", counting_check_points)
+    monkeypatch.setattr(data_module, "_text_lines", no_text_lines)
+    assert len(load_room(path, DEFAULT_CLASSES)) == 2
+    assert reads == [path]
+    assert checks == [(True, None), (False, len(DEFAULT_CLASSES))]  # XYZ/RGB in Room, then the vocabulary
+
+
 def write_room_oracle(room) -> bytes:
     """The per-line room writer that the table writer must match byte for byte."""
     return "".join(
@@ -144,6 +187,39 @@ def read_room_oracle(text: str):
         np.array([[float(v) for v in row[:3]] for row in rows], dtype=np.float64),
         np.array([[int(v) for v in row[3:6]] for row in rows], dtype=np.int64),
         np.array([int(row[6]) for row in rows], dtype=np.int64),
+    )
+
+
+def load_room_oracle(text: str, path, n_classes: int):
+    """What ``load_room`` gives for ``text``: (xyz, rgb, labels), or the message it raises.
+
+    Lines are split on "\\n" alone and stripped; blank and "#" lines are skipped; fields are parsed
+    with float() and int().  The first line that does not parse or breaks a point rule is named.
+    """
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:  # a wrong field count or a field that does not parse
+            x, y, z, r, g, b, label = line.split()
+            xyz, rgb, label = [float(x), float(y), float(z)], [int(r), int(g), int(b)], int(label)
+        except ValueError:
+            return f"{path}:{lineno}: expected 'x y z r g b label' with integer r g b label, got {line!r}"
+        broken = [what for bad, what in [
+            (not all(map(math.isfinite, xyz)), "non-finite coordinates"),
+            (not all(0 <= v <= 255 for v in rgb), "color outside [0, 255]"),
+            (not 0 <= label < n_classes, f"label not in the {n_classes}-class vocabulary"),
+        ] if bad]
+        if broken:
+            return f"{path}:{lineno}: {min(broken)}"
+        rows.append((xyz, rgb, label))
+    if not rows:
+        return f"{path}: empty room, no points"
+    return (
+        np.array([xyz for xyz, _, _ in rows], dtype=np.float64),
+        np.array([rgb for _, rgb, _ in rows], dtype=np.int64),
+        np.array([label for _, _, label in rows], dtype=np.int64),
     )
 
 
@@ -185,6 +261,60 @@ def test_room_and_ply_writers_match_the_per_line_oracle(tmp_path_factory, points
     block, ply = make_block(room.xyz, room.rgb, room.labels), path.with_suffix(".ply")
     export_ply(block, block.labels, DEFAULT_PALETTE, ply)
     assert ply.read_bytes() == export_ply_oracle(block, block.labels, DEFAULT_PALETTE)
+
+
+@st.composite
+def point_lines(draw):
+    """One valid ``x y z r g b label`` line, its fields separated by spaces or tabs."""
+    fmt = draw(st.sampled_from(["%r", "%.6f", "%g"]))
+    fields = [fmt % draw(st.floats(-1e6, 1e6)) for _ in range(3)] + [str(draw(st.integers(0, 255))) for _ in range(3)]
+    fields.append(str(draw(st.integers(0, len(DEFAULT_CLASSES) - 1))))
+    return "".join(field + draw(st.sampled_from([" ", "\t", "  "])) for field in fields[:-1]) + fields[-1]
+
+
+ROOM_LINES = st.one_of(
+    point_lines(),
+    st.tuples(st.sampled_from(["", " ", "\t"]), point_lines(), st.sampled_from(["", " ", "\t", "\x0c"])).map("".join),
+    st.sampled_from(["", "   ", "\t", "\x0c", " \t\x0c "]),  # blank lines
+    st.sampled_from(["# header", "  # indented note"]),  # full-line comments
+    st.tuples(point_lines(), point_lines()).map("\x0c".join),  # two records on one line: one line to load_room
+)
+BAD_LINES = ["0 0 0 1 1 1", "0 0 x 1 1 1 0", "0 0 0 1 6.5 1 0", "0 0 0 1 1 1 0 # note", "nan 0 0 1 1 1 0",
+             "0 0 0 300 1 1 0", "0 0 0 -1 1 1 0", "0 0 0 1 1 1 99", "0 0 0 1 1 1 -1"]
+
+
+@given(
+    st.lists(st.tuples(ROOM_LINES, st.sampled_from(["\n", "\r\n"])), max_size=12),
+    st.none() | st.tuples(st.integers(0, 12), st.sampled_from(BAD_LINES)),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_load_room_equals_the_line_oracle(tmp_path_factory, lines, bad, last_newline):
+    # the one-read path and the line-numbered path must agree with a per-line reader on every text
+    if bad is not None:
+        lines.insert(bad[0], (bad[1], "\n"))
+    if lines and not last_newline:
+        lines[-1] = (lines[-1][0], "")
+    text = "".join(line + newline for line, newline in lines)
+    path = tmp_path_factory.mktemp("room") / "office_1.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = load_room_oracle(text, path, len(DEFAULT_CLASSES))
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as info:
+            load_room(path, DEFAULT_CLASSES)
+        assert str(info.value) == want
+        return
+    room = load_room(path, DEFAULT_CLASSES)
+    for got, expected in zip((room.xyz, room.rgb, room.labels), want):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_write_room_keeps_integers_above_2_53(tmp_path):
+    room = make_room([[0.5, 0.25, 1.0]], labels=np.array([2**53 + 1]))
+    path = tmp_path / "office_1.txt"
+    write_room(room, path)
+    assert path.read_bytes() == write_room_oracle(room) == b"0.500000 0.250000 1.000000 128 128 128 9007199254740993\n"
 
 
 def test_room_roundtrip(tmp_path):

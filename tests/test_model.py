@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import num_params, num_values
 from pointmeta import model as model_module
 from pointmeta.autodiff import ParamStore, Tape, Tensor, backward, cross_entropy, finite_diff_gradient, grad_array, sum_
 from pointmeta.errors import ConfigError, DimensionError
@@ -13,7 +14,6 @@ from pointmeta.model import (
     init_params,
     layer_shapes,
     load_checkpoint,
-    num_params,
     predict_labels,
     save_checkpoint,
     tnet_transform,
@@ -64,7 +64,7 @@ def test_param_count_matches_closed_form():
             expected += fan_in * out + out
     expected += 64 * 13 + 13
     assert num_params(config) == expected
-    assert init_params(config, seed=0).num_values() == expected
+    assert num_values(init_params(config, seed=0)) == expected
 
 
 def test_param_count_independent_of_points_per_block():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import QuadraticTask
 from pointmeta import model as model_module
 from pointmeta import trainer as trainer_module
 from pointmeta.autodiff import ParamStore, Tensor, add, finite_diff_gradient
@@ -12,7 +13,6 @@ from pointmeta.model import PointNetConfig, forward, init_params
 from pointmeta.sampler import BlockRef, BlockSample, Episode, EpisodeSpec, build_task_distribution, index_categories
 from pointmeta.trainer import (
     MetaConfig,
-    QuadraticTask,
     SegmentationTask,
     TrainState,
     adapt_and_eval,
