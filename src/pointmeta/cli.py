@@ -37,7 +37,7 @@ from .data import (
 )
 from .errors import CapacityError, ConfigError, DivergenceError, ValidationError
 from .metrics import metrics_report
-from .model import PointNetConfig, forward, init_params, load_checkpoint, predict_labels, save_checkpoint
+from .model import INPUT_DIM, PointNetConfig, forward, init_params, load_checkpoint, predict_labels, save_checkpoint
 from .sampler import EpisodeSpec, build_task_distribution, index_categories
 from .trainer import MetaConfig, adapt_and_eval, pretrain
 
@@ -233,8 +233,8 @@ def _parse_run_config(cfg: dict):
         use_tnet=_field(cfg, "model.use_tnet", boolean, False),
         points_per_block=_field(cfg, "data.points_per_block", int, 1024),
     )
-    if cfg.get("model", {}).get("input_dim", 9) != 9:
-        raise ConfigError("run config model.input_dim is no longer read; featurized blocks always have 9 columns")
+    if cfg.get("model", {}).get("input_dim", INPUT_DIM) != INPUT_DIM:
+        raise ConfigError(f"run config model.input_dim is no longer read; featurized blocks always have {INPUT_DIM} columns")
     seeds = {key: _field(cfg, f"seeds.{key}", non_negative_int, 0) for key in ("init", "tasks")}
     return _field(cfg, "data.root", str), spec, meta, model_kwargs, seeds
 

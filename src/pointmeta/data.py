@@ -138,31 +138,32 @@ def _read_text(path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _text_lines(text):
-    """(line number, stripped line) for each non-blank, non-comment line; only LF ends a line, not a form feed."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+def _text_lines(text) -> list[str]:
+    """The lines of ``text`` split at LF alone (not at a form feed), each full-line ``#`` comment blanked so index + 1 is its line."""
+    lines, lineno, at = text.split("\n"), 0, -1
+    while (next_at := text.find("#", at + 1)) >= 0:  # only lines holding a "#" are looked at
+        lineno, at = lineno + text.count("\n", at + 1, next_at), next_at
+        if lines[lineno].lstrip().startswith("#"):
+            lines[lineno] = ""
+    return lines
 
 
 def load_vocab(path) -> tuple[str, ...]:
     classes = {}
-    for lineno, line in _text_lines(_read_text(path)):
+    for lineno, line in enumerate(_text_lines(_read_text(path)), start=1):
         parts = line.split()
-        if len(parts) != 2 or not parts[0].isdigit():
+        if not parts:
+            continue
+        if len(parts) != 2 or not parts[0].isdecimal():
             raise ValidationError(f"{path}:{lineno}: expected 'label_id class_name'")
-        classes[int(parts[0])] = parts[1]
+        label, name = int(parts[0]), parts[1]
+        if label in classes or name in classes.values():
+            what = f"label id {label}" if label in classes else f"class name {name!r}"
+            raise ValidationError(f"{path}:{lineno}: {what} is repeated")
+        classes[label] = name
     if sorted(classes) != list(range(len(classes))):
         raise ValidationError(f"{path}: label ids must be contiguous from 0")
     return tuple(classes[i] for i in range(len(classes)))
-
-
-def _room_name_parts(stem: str) -> tuple[str, int]:
-    room_type, _, index = stem.rpartition("_")
-    if not room_type or not index.isdigit():
-        raise ValidationError(f"room file name {stem!r} is not of the form <room_type>_<index>")
-    return room_type, int(index)
 
 
 ROOM_DTYPE = np.dtype([("xyz", "f8", 3), ("rgb", "i8", 3), ("labels", "i8")])
@@ -170,44 +171,43 @@ ROOM_DTYPE = np.dtype([("xyz", "f8", 3), ("rgb", "i8", 3), ("labels", "i8")])
 
 def _parse_points(lines) -> np.ndarray | None:
     """The ``x y z r g b label`` table of ``lines``, or None if a line is malformed."""
-    if not lines:
-        return np.zeros(0, ROOM_DTYPE)  # loadtxt warns on empty input
-    try:  # full-line comments are already dropped, so a trailing "# note" is a field count error
+    if not any(map(str.strip, lines)):
+        return np.zeros(0, ROOM_DTYPE)  # loadtxt warns on input without data
+    try:  # full-line comments are already blanked, so a trailing "# note" is a field count error
         return np.loadtxt(lines, dtype=ROOM_DTYPE, comments=None, ndmin=1)
     except ValueError:
         return None
 
 
-def load_room(path, vocab) -> Room:
-    """Parse one canonical room file, validating labels against the vocabulary.
+def _raise_at_bad_line(path, lines, n_classes: int, table) -> None:
+    """Name ``path:line`` of the first line that breaks a rule; ``table`` parses ``lines``, or is None if one is malformed."""
+    numbered = [(lineno, stripped) for lineno, line in enumerate(lines, start=1) if (stripped := line.strip())]
+    bad = None if table is not None else next(i for i, (_, line) in enumerate(numbered) if _parse_points([line]) is None)
+    if bad != 0:  # a point rule broken before the malformed line is reported first
+        table = table if bad is None else _parse_points([line for _, line in numbered[:bad]])
+        check_points(path, table["xyz"], table["rgb"], table["labels"], n_classes, [lineno for lineno, _ in numbered])
+    if bad is not None:
+        lineno, line = numbered[bad]
+        raise ValidationError(f"{path}:{lineno}: expected 'x y z r g b label' with integer r g b label, got {line!r}")
 
-    A file without ``#`` is parsed whole and its points are checked by ``Room`` alone; a file
-    with comments, a blank file, or any failure is parsed line by line, naming ``path:line``.
-    """
+
+def load_room(path, vocab) -> Room:
+    """Parse one room file whole, its points checked once by ``Room`` and the vocabulary; a failure names ``path:line``."""
     path = Path(path)
-    room_type, _ = _room_name_parts(path.stem)
-    text = _read_text(path)
-    # loadtxt skips the blank lines that _text_lines skips, but warns on a blank text
-    table = _parse_points(text.split("\n")) if "#" not in text and text.strip() else None
+    room_type, _, index = path.stem.rpartition("_")
+    if not room_type or not index.isdecimal():
+        raise ValidationError(f"room file name {path.stem!r} is not of the form <room_type>_<index>")
+    lines = _text_lines(_read_text(path))
+    table = _parse_points(lines)
     if table is not None:
         try:
             room = Room(path.stem, room_type, *(np.ascontiguousarray(table[key]) for key in ROOM_DTYPE.names))
             check_points(path, None, None, room.labels, len(vocab))
             return room
         except ValidationError:
-            pass
-    numbered = list(_text_lines(text))
-    linenos, lines = [n for n, _ in numbered], [line for _, line in numbered]
-    table = _parse_points(lines)
-    if table is None:
-        bad = next(i for i, line in enumerate(lines) if _parse_points([line]) is None)
-        if bad:  # a point rule broken on an earlier line is reported first
-            prefix = _parse_points(lines[:bad])
-            check_points(path, prefix["xyz"], prefix["rgb"], prefix["labels"], len(vocab), linenos)
-        raise ValidationError(f"{path}:{linenos[bad]}: expected 'x y z r g b label' with integer r g b label, got {lines[bad]!r}")
-    xyz, rgb, labels = (np.ascontiguousarray(table[key]) for key in ROOM_DTYPE.names)
-    check_points(path, xyz, rgb, labels, len(vocab), linenos)
-    return Room(name=path.stem, room_type=room_type, xyz=xyz, rgb=rgb, labels=labels)
+            _raise_at_bad_line(path, lines, len(vocab), table)
+            raise  # no point is at fault, so the room type is
+    _raise_at_bad_line(path, lines, len(vocab), None)  # raises: a line is malformed
 
 
 def write_room(room: Room, path) -> None:

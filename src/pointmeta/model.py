@@ -24,6 +24,7 @@ from .errors import ConfigError, DimensionError
 
 CHECKPOINT_MAGIC = "PMCKPT"
 CHECKPOINT_VERSION = 1
+INPUT_DIM = 9  # the columns of data.featurize_block
 
 # internal widths of the 3x3 input-transform regressor
 TNET_MLP_WIDTHS = (32, 64)
@@ -33,7 +34,6 @@ TNET_FC_WIDTHS = (32,)
 @dataclass(frozen=True)
 class PointNetConfig:
     num_classes: int
-    input_dim: int = 9
     mlp1_widths: tuple[int, ...] = (64, 64)
     mlp2_widths: tuple[int, ...] = (64, 128, 256)
     seg_head_widths: tuple[int, ...] = (128, 64)
@@ -46,8 +46,6 @@ class PointNetConfig:
         object.__setattr__(self, "seg_head_widths", tuple(self.seg_head_widths))
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.input_dim < 3:
-            raise ConfigError(f"input_dim must be >= 3, got {self.input_dim}")
         if self.points_per_block < 1:
             raise ConfigError("points_per_block must be >= 1")
         for widths in (self.mlp1_widths, self.mlp2_widths, self.seg_head_widths):
@@ -71,7 +69,7 @@ def layer_shapes(config: PointNetConfig) -> list[tuple[str, tuple[int, ...]]]:
             fan_in = width
         return fan_in
 
-    local = dense("mlp1", (config.input_dim, *config.mlp1_widths))
+    local = dense("mlp1", (INPUT_DIM, *config.mlp1_widths))
     global_dim = dense("mlp2", (local, *config.mlp2_widths))
     head_in = local + global_dim
     head_out = dense("head", (head_in, *config.seg_head_widths))
@@ -165,17 +163,15 @@ def tnet_transform(config: PointNetConfig, params, xyz) -> Tensor:
 
 
 def forward(config: PointNetConfig, params, features, return_pooled: bool = False):
-    """Per-point class logits for one [P, input_dim] numpy feature block.
+    """Per-point class logits for one [P, INPUT_DIM] numpy feature block.
 
     ``params`` may be a ParamStore or a name->Tensor mapping (as used inside
     adaptation, where parameters are themselves graph nodes).
     """
     tensors = _as_tensors(params)
     x = np.asarray(features)
-    if x.ndim != 2 or x.shape[1] != config.input_dim:
-        raise DimensionError(
-            f"forward expects [P, {config.input_dim}] features, got {x.shape}"
-        )
+    if x.ndim != 2 or x.shape[1] != INPUT_DIM:
+        raise DimensionError(f"forward expects [P, {INPUT_DIM}] features, got {x.shape}")
     if x.shape[0] < 1:
         raise DimensionError("forward needs at least one point")
 
@@ -217,7 +213,7 @@ def save_checkpoint(path, config: PointNetConfig, params: ParamStore) -> None:
     header = {
         "format_version": CHECKPOINT_VERSION,
         "dtype": _dtype_code(params.dtype),
-        "config": asdict(config),
+        "config": {**asdict(config), "input_dim": INPUT_DIM},  # kept so checkpoints stay byte-identical
         "params": [{"name": n, "shape": list(a.shape)} for n, a in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -239,7 +235,10 @@ def load_checkpoint(path) -> tuple[PointNetConfig, ParamStore]:
         try:
             # ValueError covers a non-integer length and bad UTF-8 or JSON
             header = json.loads(fh.read(int(first[2])).decode("utf-8"))
-            config = PointNetConfig(**header["config"])
+            fields = dict(header["config"])
+            if fields.pop("input_dim", INPUT_DIM) != INPUT_DIM:
+                raise ConfigError(f"{path}: checkpoint input_dim is not the {INPUT_DIM} feature columns")
+            config = PointNetConfig(**fields)
             dtype = header["dtype"]
             listed = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
         except (ValueError, KeyError, TypeError) as exc:

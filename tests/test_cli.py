@@ -218,6 +218,21 @@ def test_ingest_non_utf8_usage_error(dataset, tmp_path, capsys, target):
     assert f"{broken}: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("superscript_in", ["vocab", "room_name"])
+def test_ingest_superscript_digit_usage_error(dataset, tmp_path, capsys, superscript_in):
+    # "\u00b2" passes str.isdigit but not int(), which used to escape as a ValueError
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    if superscript_in == "vocab":
+        (copy / "vocab.txt").write_text("0 ceiling\n\u00b2 extra\n", encoding="utf-8")
+        named = f"{copy / 'vocab.txt'}:2: "
+    else:
+        (copy / "AreaA/office_1.txt").rename(copy / "AreaA/office_\u00b2.txt")
+        named = "'office_\u00b2' is not of the form"
+    assert main(["ingest", "--data", str(copy)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_pretrain_outputs(pretrained):
     names = {p.name for p in pretrained.iterdir()}
     assert {"ckpt_epoch0", "ckpt_epoch1", "ckpt_epoch2", "loss.csv", "manifest.json"} <= names
@@ -421,6 +436,18 @@ def test_adapt_eval_capacity_error(dataset, pretrained, tmp_path):
     assert code == 4
 
 
+def five_input_columns(blob: bytes) -> bytes:
+    """A self-consistent checkpoint for 5 input columns: the header says so and mlp1.0.w has 5 rows."""
+    first, rest = blob.split(b"\n", 1)
+    length = int(first.split()[2])
+    header = json.loads(rest[:length])
+    entry = header["params"][0]  # mlp1.0.w comes first in the body
+    rows, width = entry["shape"]
+    header["config"]["input_dim"], entry["shape"] = 5, [5, width]
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    return b"PMCKPT v1 %d\n" % len(new) + new + rest[length + (rows - 5) * width * 4:]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -434,10 +461,11 @@ def test_adapt_eval_capacity_error(dataset, pretrained, tmp_path):
         lambda blob: blob.replace(b'"mlp1.0.w"', b'"mlp1.9.w"', 1),  # renamed parameter
         lambda blob: blob + b"\0\0\0\0",  # bytes after the last parameter
         lambda blob: blob.replace(b'"float32"', b'"float99"', 1),  # unknown dtype
+        five_input_columns,  # not the 9 columns featurize_block gives
     ],
     ids=[
         "prefix40", "non_ascii", "bad_length", "no_config", "no_dtype", "no_params",
-        "no_shape", "renamed", "trailing", "bad_dtype",
+        "no_shape", "renamed", "trailing", "bad_dtype", "input_dim_5",
     ],
 )
 def test_adapt_eval_malformed_checkpoint_usage_error(dataset, pretrained, tmp_path, capsys, corrupt):

@@ -147,28 +147,39 @@ def test_load_room_whitespace_only_file_is_empty(tmp_path):
         load_room(path, DEFAULT_CLASSES)
 
 
-def test_load_room_reads_once_and_checks_each_rule_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "text",
+    [f"{GOOD_LINE}\n\n  {GOOD_LINE}\t\n", f"# header\n{GOOD_LINE}\n\n  # indented note\n  {GOOD_LINE}\t\n"],
+    ids=["no_comments", "comments"],
+)
+def test_load_room_reads_once_and_checks_each_rule_once(tmp_path, monkeypatch, text):
     path = tmp_path / "office_1.txt"
-    path.write_text(f"{GOOD_LINE}\n\n  {GOOD_LINE}\t\n")
-    reads, checks = [], []
-    read_text, check_points = Path.read_text, data_module.check_points
+    path.write_text(text)
+    reads, parses, checks = [], [], []
+    read_text, loadtxt, check_points = Path.read_text, np.loadtxt, data_module.check_points
 
     def counting_read_text(self, *args, **kwargs):
         reads.append(self)
         return read_text(self, *args, **kwargs)
 
+    def counting_loadtxt(lines, *args, **kwargs):
+        parses.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
     def counting_check_points(name, xyz, rgb, labels, n_classes=None, linenos=None):
         checks.append((xyz is not None, n_classes))
         check_points(name, xyz, rgb, labels, n_classes, linenos)
 
-    def no_text_lines(text):
-        raise AssertionError("a valid file without comments took the line-numbered path")
+    def no_line_scan(*args):
+        raise AssertionError("a valid file took the line-numbered scan")
 
     monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
     monkeypatch.setattr(data_module, "check_points", counting_check_points)
-    monkeypatch.setattr(data_module, "_text_lines", no_text_lines)
+    monkeypatch.setattr(data_module, "_raise_at_bad_line", no_line_scan)
     assert len(load_room(path, DEFAULT_CLASSES)) == 2
     assert reads == [path]
+    assert parses == [text.count("\n") + 1]  # one loadtxt over every line of the text
     assert checks == [(True, None), (False, len(DEFAULT_CLASSES))]  # XYZ/RGB in Room, then the vocabulary
 
 
@@ -340,6 +351,31 @@ def test_vocab_requires_contiguous_ids(tmp_path):
     path.write_text("0 floor\n2 wall\n")
     with pytest.raises(ValidationError):
         load_vocab(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 ceiling\n1 floor wall\n", "expected 'label_id class_name'"),
+        ("0 ceiling\n\u00b2 extra\n", "expected 'label_id class_name'"),  # passes isdigit, not int()
+        ("0 ceiling\n0 floor\n", "label id 0 is repeated"),
+        ("0 ceiling\n1 ceiling\n", "class name 'ceiling' is repeated"),
+    ],
+    ids=["field_count", "superscript_id", "repeated_id", "repeated_name"],
+)
+def test_load_vocab_names_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"# header\n{text}", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+        load_vocab(path)
+
+
+@pytest.mark.parametrize("stem", ["office", "_1", "office_x", "office_\u00b2"], ids=["no_index", "no_type", "letter", "superscript"])
+def test_load_room_file_name_needs_a_decimal_index(tmp_path, stem):
+    path = tmp_path / f"{stem}.txt"
+    path.write_text(f"{GOOD_LINE}\n")
+    with pytest.raises(ValidationError, match="is not of the form <room_type>_<index>$"):
+        load_room(path, DEFAULT_CLASSES)
 
 
 def test_partition_grid_counts():
