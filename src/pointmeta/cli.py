@@ -25,6 +25,7 @@ from .data import (
     DEFAULT_CLASSES,
     DEFAULT_PALETTE,
     SyntheticAreaSpec,
+    count_blocks,
     generate_synthetic_area,
     load_dataset,
     load_room,
@@ -139,7 +140,7 @@ def cmd_ingest(args) -> int:
 
 def _print_areas(areas, with_types: bool = False) -> None:
     for area in areas:
-        n_blocks = sum(len(partition_blocks(room)) for room in area.rooms)
+        n_blocks = sum(count_blocks(room) for room in area.rooms)
         n_points = sum(len(room) for room in area.rooms)
         types = f", types: {', '.join(sorted({room.room_type for room in area.rooms}))}" if with_types else ""
         print(f"{area.name}: {len(area.rooms)} rooms, {n_points} points, {n_blocks} blocks{types}")

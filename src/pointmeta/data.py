@@ -179,10 +179,19 @@ def _parse_points(lines) -> np.ndarray | None:
         return None
 
 
+_SCAN_CHUNK = 256  # lines parsed together while looking for the malformed one
+
+
+def _first_malformed(lines) -> int:
+    """Index of the first line of ``lines`` that does not parse: chunk by chunk, then line by line in the failing chunk."""
+    start = next(at for at in range(0, len(lines), _SCAN_CHUNK) if _parse_points(lines[at:at + _SCAN_CHUNK]) is None)
+    return next(at for at in range(start, start + _SCAN_CHUNK) if _parse_points(lines[at:at + 1]) is None)
+
+
 def _raise_at_bad_line(path, lines, n_classes: int, table) -> None:
     """Name ``path:line`` of the first line that breaks a rule; ``table`` parses ``lines``, or is None if one is malformed."""
     numbered = [(lineno, stripped) for lineno, line in enumerate(lines, start=1) if (stripped := line.strip())]
-    bad = None if table is not None else next(i for i, (_, line) in enumerate(numbered) if _parse_points([line]) is None)
+    bad = None if table is not None else _first_malformed([line for _, line in numbered])
     if bad != 0:  # a point rule broken before the malformed line is reported first
         table = table if bad is None else _parse_points([line for _, line in numbered[:bad]])
         check_points(path, table["xyz"], table["rgb"], table["labels"], n_classes, [lineno for lineno, _ in numbered])
@@ -196,7 +205,7 @@ def load_room(path, vocab) -> Room:
     path = Path(path)
     room_type, _, index = path.stem.rpartition("_")
     if not room_type or not index.isdecimal():
-        raise ValidationError(f"room file name {path.stem!r} is not of the form <room_type>_<index>")
+        raise ValidationError(f"{path}: room file name {path.stem!r} is not of the form <room_type>_<index>")
     lines = _text_lines(_read_text(path))
     table = _parse_points(lines)
     if table is not None:
@@ -204,16 +213,65 @@ def load_room(path, vocab) -> Room:
             room = Room(path.stem, room_type, *(np.ascontiguousarray(table[key]) for key in ROOM_DTYPE.names))
             check_points(path, None, None, room.labels, len(vocab))
             return room
-        except ValidationError:
+        except ValidationError as exc:
             _raise_at_bad_line(path, lines, len(vocab), table)
-            raise  # no point is at fault, so the room type is
+            raise ValidationError(f"{path}: {exc}") from exc  # no point is at fault, so the room type is
     _raise_at_bad_line(path, lines, len(vocab), None)  # raises: a line is malformed
 
 
+def _group_table(before: str, lead: bool, after: str) -> np.ndarray:
+    """``before + g + after`` of each 3-digit group g as 4 0-padded bytes viewed as one uint32; ``lead`` turns
+    the leading zeros of g into 0 bytes, keeping its last digit."""
+    groups = (str(g).rjust(3, "\0") if lead else f"{g:03d}" for g in range(1000))
+    return np.frombuffer("".join((before + g + after).ljust(4, "\0") for g in groups).encode("ascii"), np.uint32)
+
+
+_DIGIT_LIMIT = 999.0  # |x| below it has a whole part of one group, and |x| * 1e6 cannot overflow
+_WHOLE = np.concatenate([_group_table("", True, ""), _group_table("-", True, "")])  # row g + 1000 * signbit
+_FIRST_DECIMALS = _group_table(".", False, "")
+_LAST_DECIMALS = _group_table("", False, " ")  # an int column always follows
+_INTS = {end: _group_table("", True, end) for end in " \n"}
+
+
+def _percent_rows(floats, ints) -> bytes:
+    """The rows of ``_format_rows`` through one ``%``, for the tables its digit groups cannot render exactly."""
+    table = np.empty((len(floats), 3 + ints.shape[1]), dtype=object)  # Python floats and ints: no int rounds
+    table[:, :3], table[:, 3:] = floats, ints
+    return (("%.6f %.6f %.6f" + " %d" * ints.shape[1] + "\n") * len(floats) % tuple(table.ravel().tolist())).encode()
+
+
+def _format_rows(floats, ints) -> bytes:
+    """``"%.6f %.6f %.6f" + " %d" * k + "\\n"`` of each row of ``floats`` [N, 3] and ``ints`` [N, k >= 1], exactly.
+
+    Each field is looked up per 3-digit group as 4-byte slots, 0 bytes where it prints nothing, and
+    one pass drops the 0 bytes of the whole table.  ``%`` formats a table the groups cannot render
+    exactly: a coordinate whose x * 1e6 is within 4 ulp of a half (exact ties like 1/128 among them),
+    at or beyond ``_DIGIT_LIMIT`` or not finite; an int outside 0..999; columns not floats and ints.
+    """
+    digits = floats.dtype.kind == "f" and ints.dtype.kind in "iu"
+    if digits:  # the range is checked before multiplying, so the product cannot overflow
+        magnitude = np.abs(floats.astype(np.float64, copy=False))
+        digits = (magnitude < _DIGIT_LIMIT).all() and 0 <= ints.min(initial=0) and ints.max(initial=0) < 1000
+    if digits:
+        scaled = magnitude * 1e6
+        fixed = np.rint(scaled)
+        digits = not (np.abs(scaled - fixed) + scaled * 2.0**-50 >= 0.5).any()  # 2**-50 * y >= 4 * spacing(y)
+    if not digits:
+        return _percent_rows(floats, ints)
+    micros = fixed.astype(np.int64).T  # |x| in millionths, one row per column
+    whole, thousandths = micros // 10**6, micros // 1000
+    slots = []
+    for c in range(3):
+        slots += [_WHOLE.take(whole[c] + 1000 * np.signbit(floats[:, c])),
+                  _FIRST_DECIMALS.take(thousandths[c] - whole[c] * 1000),
+                  _LAST_DECIMALS.take(micros[c] - thousandths[c] * 1000)]
+    ends = [" "] * (ints.shape[1] - 1) + ["\n"]
+    slots += [_INTS[end].take(column) for column, end in zip(ints.T.astype(np.intp), ends)]
+    return np.array(slots).T.tobytes().translate(None, b"\0")
+
+
 def write_room(room: Room, path) -> None:
-    table = np.empty((len(room), 7), dtype=object)  # Python floats and ints, so no label is rounded through float64
-    table[:, :3], table[:, 3:6], table[:, 6] = room.xyz, room.rgb, room.labels
-    Path(path).write_text("%.6f %.6f %.6f %d %d %d %d\n" * len(room) % tuple(table.ravel().tolist()), encoding="utf-8")
+    Path(path).write_bytes(_format_rows(room.xyz, np.column_stack([room.rgb, room.labels])))
 
 
 def load_area(directory, vocab, name: str | None = None) -> Area:
@@ -253,6 +311,23 @@ def write_dataset(areas, classes, root) -> None:
 # blocks and features
 
 
+def _cell_runs(room: Room) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The room's min corner, each point's 1m grid cell, and the points of each non-empty cell in cell order.
+
+    Cells are half-open and anchored at (x_min, y_min), so every point lands in exactly one.
+    """
+    room_min = room.xyz.min(axis=0)
+    cells = np.floor(room.xyz[:, :2] - room_min[:2]).astype(np.int64)
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    i, j = cells[:, 0][order], cells[:, 1][order]
+    return room_min, cells, np.split(order, np.flatnonzero((i[1:] != i[:-1]) | (j[1:] != j[:-1])) + 1)
+
+
+def count_blocks(room: Room) -> int:
+    """``len(partition_blocks(room))``, without building a block."""
+    return len(_cell_runs(room)[2])
+
+
 def partition_blocks(room: Room) -> list[Block]:
     """Cut a room into half-open 1m grid cells over its XY bounding box.
 
@@ -260,14 +335,10 @@ def partition_blocks(room: Room) -> list[Block]:
     cell and empty cells are omitted.  Z is never partitioned: blocks are
     full-height columns.  Each block carries the room's min and extent.
     """
-    room_min = room.xyz.min(axis=0)
+    room_min, cells, runs = _cell_runs(room)
     room_extent = room.xyz.max(axis=0) - room_min
-    cells = np.floor(room.xyz[:, :2] - room_min[:2]).astype(np.int64)
     blocks = []
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    sorted_cells = cells[order]
-    boundaries = np.nonzero(np.any(np.diff(sorted_cells, axis=0), axis=1))[0] + 1
-    for chunk in np.split(order, boundaries):
+    for chunk in runs:
         i, j = cells[chunk[0]]
         blocks.append(
             Block(
@@ -496,5 +567,4 @@ def export_ply(block: Block, labels, palette, path) -> None:
         f"ply\nformat ascii 1.0\nelement vertex {len(block)}\nproperty float x\nproperty float y\nproperty float z\n"
         "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
     )
-    body = "%.6f %.6f %.6f %d %d %d\n" * len(block) % tuple(np.column_stack([block.xyz, colors]).ravel().tolist())
-    Path(path).write_text(header + body, encoding="ascii")
+    Path(path).write_bytes(header.encode("ascii") + _format_rows(block.xyz, colors))

@@ -227,10 +227,24 @@ def test_ingest_superscript_digit_usage_error(dataset, tmp_path, capsys, supersc
         (copy / "vocab.txt").write_text("0 ceiling\n\u00b2 extra\n", encoding="utf-8")
         named = f"{copy / 'vocab.txt'}:2: "
     else:
-        (copy / "AreaA/office_1.txt").rename(copy / "AreaA/office_\u00b2.txt")
-        named = "'office_\u00b2' is not of the form"
+        renamed = (copy / "AreaA/office_1.txt").rename(copy / "AreaA/office_\u00b2.txt")
+        named = f"{renamed}: room file name 'office_\u00b2' is not of the form"
     assert main(["ingest", "--data", str(copy)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stem, message",
+    [("throne_1", "room throne_1: unknown room type 'throne'"),
+     ("office_x", "room file name 'office_x' is not of the form <room_type>_<index>")],
+)
+def test_ingest_room_file_name_errors_name_the_file(dataset, tmp_path, capsys, stem, message):
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    renamed = copy / "AreaB" / f"{stem}.txt"
+    (copy / "AreaB/office_1.txt").rename(renamed)
+    assert main(["ingest", "--data", str(copy)]) == 2
+    assert capsys.readouterr().err == f"error: {renamed}: {message}\n"
 
 
 def test_pretrain_outputs(pretrained):

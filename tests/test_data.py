@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointmeta import data as data_module
@@ -132,6 +132,30 @@ def test_load_room_names_the_first_of_two_bad_lines(tmp_path):
         load_room(path, DEFAULT_CLASSES)
 
 
+@pytest.mark.parametrize("early_color", [False, True])
+@pytest.mark.parametrize("bad_at", [0, 255, 256, 20000])
+def test_naming_a_malformed_line_parses_in_chunks(tmp_path, monkeypatch, bad_at, early_color):
+    # a per-line scan made one loadtxt call per line up to the malformed one: 20,001 for the last line here
+    lines = [GOOD_LINE] * 20000
+    lines.insert(bad_at, "0 0 0 1 1 1")
+    if early_color:  # a point rule broken earlier, in another chunk, is still named first
+        lines[3 if bad_at else 300] = "0 0 0 300 1 1 0"
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "office_1.txt"
+    path.write_text(text)
+    calls, loadtxt = [], np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    with pytest.raises(ValidationError) as info:
+        load_room(path, DEFAULT_CLASSES)
+    assert str(info.value) == load_room_oracle(text, path, len(DEFAULT_CLASSES))
+    assert len(calls) < 400
+
+
 def test_load_room_not_utf8(tmp_path):
     path = tmp_path / "office_1.txt"
     path.write_bytes(f"{GOOD_LINE}\n".encode() + b"\xff\xfe\n")
@@ -251,11 +275,33 @@ ALL_COLORS = np.stack([np.arange(256), 255 - np.arange(256), (7 * np.arange(256)
 COORDS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0, -4e-7, 5e-7, 0.5e-6, -1e15])
 POINTS = st.lists(st.tuples(COORDS, COORDS, COORDS, *[st.integers(0, 255)] * 3, st.integers(0, 12)), max_size=40)
 VOCAB_13 = tuple(f"class_{i}" for i in range(13))
+# rows at the edges of the digit formatter: the smallest subnormal, -0.0, decimals that carry into the
+# whole part, coordinates just below its range limit and ints in 0..999, plus at most one value it hands
+# to "%": an exact or near tie of x * 1e6 (2.5e-6 * 1e6 is 2.5 in float64, but 2.5e-6 prints 0.000003),
+# a coordinate at or beyond the limit, or an int outside 0..999 (negative, 1000, the int64 extremes)
+LIMIT = data_module._DIGIT_LIMIT
+DIGIT_COORDS = st.sampled_from(
+    [5e-324, -5e-324, -0.0, 0.0, 0.0000004, 9.9999996, -99.9999996, 998.9999996, math.nextafter(LIMIT, 0), -998.5]
+) | st.floats(-LIMIT, LIMIT, exclude_min=True, exclude_max=True)
+DIGIT_INTS = st.sampled_from([0, 9, 10, 99, 100, 999]) | st.integers(0, 999)
+PERCENT_VALUES = st.sampled_from(
+    [0.0078125, -0.0078125, 0.5e-6, -0.5e-6, 2.5e-6, -1.25e-5, 0.0001235, 2.5000005, LIMIT, -LIMIT, 999.9999996,
+     -1234567.25, 1e300, -1, 1000, 2**53 + 1, 2**63 - 1, -(2**63)]
+) | st.integers(-10**6, 10**6).map(lambda k: k + 2**-7) | st.integers(-10**7, 10**7).map(lambda k: (k + 0.5) / 1e6)
+EDGES = st.tuples(
+    st.lists(st.tuples(DIGIT_COORDS, DIGIT_COORDS, DIGIT_COORDS, *[st.integers(0, 255)] * 3, DIGIT_INTS), min_size=1, max_size=8),
+    st.none() | PERCENT_VALUES,
+)
+EDGE_ROW = (-0.0, 5e-324, 998.9999996, 0, 128, 255, 999)
 
 
-@given(POINTS, st.integers(0, 255))
+@given(POINTS, st.integers(0, 255), EDGES)
+@example([], 0, ([EDGE_ROW], None))
+@example([], 0, ([EDGE_ROW], 2.5e-6))
+@example([], 0, ([EDGE_ROW], -1))
+@example([], 0, ([EDGE_ROW], 2**63 - 1))
 @settings(max_examples=40, deadline=None)
-def test_room_and_ply_writers_match_the_per_line_oracle(tmp_path_factory, points, shift):
+def test_room_and_ply_writers_match_the_per_line_oracle(tmp_path_factory, points, shift, edges):
     drawn = np.array(points, dtype=object).reshape(-1, 7)
     room = make_room(
         np.concatenate([np.linspace(-3.0, 3.0, 3 * 256).reshape(-1, 3), drawn[:, :3].astype(np.float64)]),
@@ -272,6 +318,35 @@ def test_room_and_ply_writers_match_the_per_line_oracle(tmp_path_factory, points
     block, ply = make_block(room.xyz, room.rgb, room.labels), path.with_suffix(".ply")
     export_ply(block, block.labels, DEFAULT_PALETTE, ply)
     assert ply.read_bytes() == export_ply_oracle(block, block.labels, DEFAULT_PALETTE)
+    # the edge rows alone, so that a table the digits can render still reaches them; labels outside any
+    # vocabulary are written, not loaded, and the PLY colors each label with three of the drawn ints
+    rows, extra = edges
+    edge = np.array(rows, dtype=object).reshape(-1, 7)
+    if extra is not None:
+        edge[0, 6 if isinstance(extra, int) else 0] = extra
+    edge_room = make_room(edge[:, :3].astype(np.float64), rgb=edge[:, 3:6].astype(np.int64), labels=edge[:, 6].astype(np.int64))
+    write_room(edge_room, path)
+    assert path.read_bytes() == write_room_oracle(edge_room)
+    palette = {int(label): (int(label), abs(int(label)) // 2, 255) for label in edge_room.labels}
+    edge_block = make_block(edge_room.xyz, edge_room.rgb, edge_room.labels)
+    export_ply(edge_block, edge_block.labels, palette, ply)
+    assert ply.read_bytes() == export_ply_oracle(edge_block, edge_block.labels, palette)
+
+
+def test_synthetic_rooms_take_the_digit_path(tmp_path, monkeypatch):
+    # the speed path must not silently vanish: no synthetic room or block falls back to "%"
+    def no_fallback(*args):
+        raise AssertionError("a synthetic room was formatted by the % fallback")
+
+    monkeypatch.setattr(data_module, "_percent_rows", no_fallback)
+    spec = SyntheticAreaSpec("AreaA", (("office", 2), ("hallway", 1), ("storage", 1)), density=40)
+    for room in generate_synthetic_area(spec, seed=7).rooms:
+        path = tmp_path / f"{room.name}.txt"
+        write_room(room, path)
+        assert path.read_bytes() == write_room_oracle(room)
+        block = partition_blocks(room)[0]
+        export_ply(block, block.labels, DEFAULT_PALETTE, path.with_suffix(".ply"))
+        assert path.with_suffix(".ply").read_bytes() == export_ply_oracle(block, block.labels, DEFAULT_PALETTE)
 
 
 @st.composite
@@ -374,7 +449,7 @@ def test_load_vocab_names_the_bad_line(tmp_path, text, message):
 def test_load_room_file_name_needs_a_decimal_index(tmp_path, stem):
     path = tmp_path / f"{stem}.txt"
     path.write_text(f"{GOOD_LINE}\n")
-    with pytest.raises(ValidationError, match="is not of the form <room_type>_<index>$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: room file name .* is not of the form <room_type>_<index>$"):
         load_room(path, DEFAULT_CLASSES)
 
 
