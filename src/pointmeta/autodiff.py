@@ -1,12 +1,24 @@
 """Dense tensors with reverse-mode automatic differentiation on a tape.
 
 Operations compute eagerly with numpy and, while a :class:`Tape` is active,
-record themselves in creation order (which is a topological order).
+record a :class:`Node` in creation order (which is a topological order).
 ``backward`` replays the tape in reverse to accumulate gradients.
 
 The backward rule of every primitive is itself built from primitives, so
 running ``backward(..., create_graph=True)`` produces gradients that are
 again differentiable.  That is what the second-order meta-update relies on.
+
+Ownership: a :class:`Tensor` is a value, an array plus its ``node`` (None for
+a constant).  A node holds its parents' nodes, its vjp, its tape and its
+output shape, never an array, so a recorded value lives only as long as its
+holders or a vjp that reads it.  Each vjp keeps only what it reads: ``add``,
+``sub``, ``transpose``, ``reshape``, ``sum_``, ``take_rows``,
+``scatter_rows`` and ``max_over_points`` keep shapes, indices and argmaxes;
+``mul`` and ``matmul`` keep an operand only when the other one needs a
+gradient; ``relu`` and ``exp`` keep their output; ``log`` and ``div`` keep
+their inputs.  A ``backward`` without ``create_graph`` is a tape's last
+sweep: it drops each vjp as it passes it, and the tape refuses a further
+sweep.
 
 Tapes are single-writer: build one tape per task evaluation and do not share
 it across threads.  Parameter stores are plain read-only data and may be
@@ -45,7 +57,8 @@ class Tape:
     """
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Node] = []
+        self.swept = False  # set by a backward without create_graph, which drops the vjps
 
     def __enter__(self):
         _stack().append(self)
@@ -53,10 +66,11 @@ class Tape:
 
     def __exit__(self, *exc):
         _stack().pop()
-        # nodes and their tape point at each other (and exp's vjp at its own
-        # output), so cut every link: refcounting then frees the graph
+        # nodes and their tape point at each other, and exp's vjp at its own
+        # output, whose node owns that vjp: cut both cycles, and the parent
+        # links so that a value held past the block pins no node
         for node in self.nodes:
-            node.parents, node._vjp, node.tape = (), None, None
+            node.parents, node.vjp, node.tape = (), None, None
         self.nodes.clear()
         return False
 
@@ -64,20 +78,40 @@ class Tape:
         return len(self.nodes)
 
 
-class Tensor:
-    """A dense array plus the bookkeeping needed for reverse-mode AD.
+class Node:
+    """One recorded operation, or a leaf that collects a gradient.
 
-    Leaves created with ``requires_grad=True`` (typically parameters)
-    collect gradients; everything else is an op output whose ``_vjp`` maps
-    the output gradient to per-parent gradients.
+    Holds its parents' nodes (None for a constant parent), the vjp that maps
+    the output gradient to per-parent gradients, its tape and its output
+    shape; never the output array.
     """
+
+    __slots__ = ("parents", "vjp", "tape", "shape")
+
+    def __init__(self, parents: tuple, vjp: Callable | None, tape: Tape | None, shape: tuple[int, ...]):
+        self.parents = parents
+        self.vjp = vjp
+        self.tape = tape
+        self.shape = shape
+
+
+class Tensor:
+    """A dense array and its graph node: None for a constant.
+
+    Leaves created with ``requires_grad=True`` (typically parameters) get a
+    node without parents, so they collect gradients; an op output gets a
+    node when a tape records it.
+    """
+
+    __slots__ = ("data", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.requires_grad = requires_grad
-        self.parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable | None = None
-        self.tape: Tape | None = None
+        self.node = Node((), None, None, self.data.shape) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
 
     @property
     def shape(self):
@@ -125,14 +159,13 @@ def _lift_pair(a, b) -> tuple[Tensor, Tensor]:
     return _lift(a, like=b), b
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+def _record(data, parents: tuple, vjp: Callable) -> Tensor:
+    """The op output ``data`` as a tensor, recorded when one of the ``parents`` nodes is not None."""
+    out = Tensor(data)
     tape = active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out.parents = parents
-        out._vjp = vjp
-        out.tape = tape
-        tape.nodes.append(out)
+    if tape is not None and any(parents):
+        out.node = Node(parents, vjp, tape, out.data.shape)
+        tape.nodes.append(out.node)
     return out
 
 
@@ -147,136 +180,139 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives; each vjp closes over only what it reads (see the module docstring)
 
 
 def add(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
-    out = Tensor(a.data + b.data)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _record(out, (a, b), vjp)
+    return _record(a.data + b.data, (a.node, b.node), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
-    out = Tensor(a.data - b.data)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(mul(g, -1.0), b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(mul(g, -1.0), b_shape)
 
-    return _record(out, (a, b), vjp)
+    return _record(a.data - b.data, (a.node, b.node), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
-    out = Tensor(a.data * b.data)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # a constant factor (a mask, the routing, one-hot labels) gets no gradient,
+    # so the other factor is kept only when this one needs it
+    a_factor = b if a.node is not None else None
+    b_factor = a if b.node is not None else None
 
-    def vjp(g):  # a constant factor (a mask, the routing, one-hot labels) gets no gradient
-        return (_unbroadcast(mul(g, b), a.shape) if a.requires_grad else None,
-                _unbroadcast(mul(g, a), b.shape) if b.requires_grad else None)
+    def vjp(g):
+        return (_unbroadcast(mul(g, a_factor), a_shape) if a_factor is not None else None,
+                _unbroadcast(mul(g, b_factor), b_shape) if b_factor is not None else None)
 
-    return _record(out, (a, b), vjp)
+    return _record(a.data * b.data, (a.node, b.node), vjp)
 
 
 def div(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
-    out = Tensor(a.data / b.data)
 
     def vjp(g):
         da = div(g, b)
         db = mul(div(mul(g, a), mul(b, b)), -1.0)
         return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
 
-    return _record(out, (a, b), vjp)
+    return _record(a.data / b.data, (a.node, b.node), vjp)
 
 
 def matmul(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data)
+    # constant input features get no gradient, so x @ W keeps x for dW only
+    a_factor = b if a.node is not None else None
+    b_factor = a if b.node is not None else None
 
-    def vjp(g):  # constant input features get no gradient
-        return (matmul(g, transpose(b)) if a.requires_grad else None,
-                matmul(transpose(a), g) if b.requires_grad else None)
+    def vjp(g):
+        return (matmul(g, transpose(a_factor)) if a_factor is not None else None,
+                matmul(transpose(b_factor), g) if b_factor is not None else None)
 
-    return _record(out, (a, b), vjp)
+    return _record(a.data @ b.data, (a.node, b.node), vjp)
 
 
 def transpose(a) -> Tensor:
     a = _lift(a)
-    out = Tensor(a.data.T)  # a view: BLAS multiplies transposed operands in place
 
     def vjp(g):
         return (transpose(g),)
 
-    return _record(out, (a,), vjp)
+    return _record(a.data.T, (a.node,), vjp)  # a view: BLAS multiplies transposed operands in place
 
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
-    out = Tensor(a.data.reshape(shape))
+    a_shape = a.data.shape
 
     def vjp(g):
-        return (reshape(g, a.shape),)
+        return (reshape(g, a_shape),)
 
-    return _record(out, (a,), vjp)
+    return _record(a.data.reshape(shape), (a.node,), vjp)
 
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    a_shape = a.data.shape
 
     def vjp(g):
         if axis is not None and not keepdims:
-            kept = list(a.shape)
+            kept = list(a_shape)
             for ax in np.atleast_1d(axis):
                 kept[ax] = 1
             g = reshape(g, tuple(kept))
         elif axis is None and not keepdims:
-            g = reshape(g, (1,) * a.ndim)
+            g = reshape(g, (1,) * len(a_shape))
         # times ones broadcasts g back to a's shape; x * 1 is exactly x
-        return (mul(g, np.ones(a.shape, dtype=g.dtype)),)
+        return (mul(g, np.ones(a_shape, dtype=g.dtype)),)
 
-    return _record(out, (a,), vjp)
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a.node,), vjp)
 
 
 def exp(a) -> Tensor:
     a = _lift(a)
-    out = Tensor(np.exp(a.data))
 
     def vjp(g):
         return (mul(g, out),)
 
-    return _record(out, (a,), vjp)
+    out = _record(np.exp(a.data), (a.node,), vjp)
+    return out
 
 
 def log(a) -> Tensor:
     a = _lift(a)
-    out = Tensor(np.log(a.data))
 
     def vjp(g):
         return (div(g, a),)
 
-    return _record(out, (a,), vjp)
+    return _record(np.log(a.data), (a.node,), vjp)
 
 
 def relu(a) -> Tensor:
     """Elementwise max(x, 0); the subgradient at exactly 0 is defined as 0.
 
-    Keeps only its output: the vjp builds the 0/1 mask from it when it runs,
-    so no mask lives from the forward to the backward.
+    Keeps only its output array: the vjp builds the 0/1 mask from it when it
+    runs, so no mask lives from the forward to the backward.
     """
     a = _lift(a)
-    out = Tensor(np.maximum(a.data, 0))
+    data = np.maximum(a.data, 0)
 
     def vjp(g):
-        return (mul(g, Tensor((out.data > 0).astype(out.data.dtype))),)
+        return (mul(g, Tensor((data > 0).astype(data.dtype))),)
 
-    return _record(out, (a,), vjp)
+    return _record(data, (a.node,), vjp)
 
 
 def max_over_points(a) -> Tensor:
@@ -290,26 +326,25 @@ def max_over_points(a) -> Tensor:
     if a.ndim != 2 or a.shape[0] < 1:
         raise DimensionError(f"max_over_points: need a non-empty [P, F] input, got {a.shape}")
     argmax, columns = np.argmax(a.data, axis=0), np.arange(a.shape[1])
-    out = Tensor(a.data[argmax, columns])
+    a_shape, a_dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        routing = np.zeros(a.shape, dtype=a.data.dtype)
+        routing = np.zeros(a_shape, dtype=a_dtype)
         routing[argmax, columns] = 1
-        return (mul(Tensor(routing), reshape(g, (1, a.shape[1]))),)
+        return (mul(Tensor(routing), reshape(g, (1, a_shape[1]))),)
 
-    return _record(out, (a,), vjp)
+    return _record(a.data[argmax, columns], (a.node,), vjp)
 
 
 def take_rows(a, rows) -> Tensor:
     """Rows ``rows`` of ``a``: a slice, or an index array without repeats."""
     a = _lift(a)
-    out = Tensor(np.ascontiguousarray(a.data[rows]))
     n_rows = a.shape[0]
 
     def vjp(g):
         return (scatter_rows(g, rows, n_rows),)
 
-    return _record(out, (a,), vjp)
+    return _record(np.ascontiguousarray(a.data[rows]), (a.node,), vjp)
 
 
 def scatter_rows(a, rows, n_rows: int) -> Tensor:
@@ -317,12 +352,11 @@ def scatter_rows(a, rows, n_rows: int) -> Tensor:
     a = _lift(a)
     data = np.zeros((n_rows, *a.shape[1:]), dtype=a.data.dtype)
     data[rows] = a.data
-    out = Tensor(data)
 
     def vjp(g):
         return (take_rows(g, rows),)
 
-    return _record(out, (a,), vjp)
+    return _record(data, (a.node,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +442,9 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
     ``wrt`` maps names to tensors that participated in the tape (leaves or
     intermediates); tensors the loss does not depend on get zero gradients.
     With ``create_graph`` the returned gradients are recorded on the same
-    tape and can be differentiated again.
+    tape and can be differentiated again.  Without it the sweep is the
+    tape's last: it drops each node's vjp, and with it the values that vjp
+    kept, as it passes the node, so a later ``backward`` on the tape raises.
 
     A node's gradient is complete once the later nodes have run; the sweep
     drops it as soon as the node has passed it to its parents, and keeps only
@@ -416,11 +452,14 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
     """
     if loss.data.shape != ():
         raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
-    if loss.tape is not tape:
+    if loss.node is None or loss.node.tape is not tape:
         raise ContractError("loss was not produced on this tape")
+    if tape.swept:
+        raise ContractError("tape was already swept by a backward without create_graph")
+    tape.swept = not create_graph
 
-    grads: dict[int, Tensor] = {id(loss): Tensor(np.ones((), dtype=loss.data.dtype))}
-    kept = {id(tensor) for tensor in wrt.values()}
+    grads: dict[Node, Tensor] = {loss.node: Tensor(np.ones((), dtype=loss.data.dtype))}
+    kept = {tensor.node for tensor in wrt.values()}
     nodes = list(tape.nodes)
     # record the backward ops on the same tape (create_graph) or, with None
     # on top of the stack, nowhere
@@ -428,18 +467,21 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
     stack.append(tape if create_graph else None)
     try:
         for node in reversed(nodes):
-            g = grads.get(id(node)) if id(node) in kept else grads.pop(id(node), None)
-            if g is None or node._vjp is None:
+            vjp = node.vjp
+            if not create_graph:
+                node.vjp = None
+            g = grads.get(node) if node in kept else grads.pop(node, None)
+            if g is None or vjp is None:
                 continue
-            for parent, pg in zip(node.parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
+            for parent, pg in zip(node.parents, vjp(g)):
+                if pg is None or parent is None:
                     continue
-                held = grads.get(id(parent))
-                grads[id(parent)] = pg if held is None else add(held, pg)
+                held = grads.get(parent)
+                grads[parent] = pg if held is None else add(held, pg)
     finally:
         stack.pop()
 
-    return {name: grads[id(t)] if id(t) in grads else Tensor(np.zeros(t.shape, dtype=t.data.dtype))
+    return {name: grads[t.node] if t.node in grads else Tensor(np.zeros(t.shape, dtype=t.data.dtype))
             for name, t in wrt.items()}
 
 

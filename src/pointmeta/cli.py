@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 usage/config problems, 3 training divergence,
 4 dataset capacity errors, 5 I/O failures.  Every command that writes
 outputs also writes a ``manifest.json`` recording the tool version, seeds,
-config hash, and SHA-256 fingerprints of its inputs and outputs; reruns
-with an identical manifest produce bit-identical files.
+config hash, SHA-256 fingerprints of its inputs and outputs, the numpy
+version, the BLAS build and its thread settings, and for a command that
+trains or adapts the parameter dtype; reruns with an identical manifest
+produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,8 +58,21 @@ def _fingerprint_tree(root) -> dict[str, str]:
     return {str(p.relative_to(root)): _sha256_file(p) for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
-def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs: dict[str, str]) -> None:
-    """Fingerprint everything in ``out_dir`` and record the run parameters."""
+def _runtime() -> dict:
+    """What the output bits depend on besides the inputs: numpy, its BLAS build and the BLAS threads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "threads": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
+def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs: dict[str, str], dtype=None) -> None:
+    """Fingerprint everything in ``out_dir`` and record the run parameters and runtime.
+
+    ``dtype`` is the parameter precision of a command that trains or adapts.
+    """
     blob = json.dumps(config_obj, sort_keys=True).encode("utf-8")
     outputs = {rel: digest for rel, digest in _fingerprint_tree(out_dir).items() if Path(rel).name != "manifest.json"}
     manifest = {
@@ -67,7 +83,10 @@ def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs:
         "seeds": seeds,
         "inputs": inputs,
         "outputs": outputs,
+        "runtime": _runtime(),
     }
+    if dtype is not None:
+        manifest["dtype"] = str(np.dtype(dtype))
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -287,7 +306,8 @@ def cmd_pretrain(args) -> int:
         state, _ = _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out)
         final = f"{state.losses[-1]:.4f}" if state.losses else "n/a (0 steps)"
         print(f"pretrained {len(state.history)} steps, final query loss {final}")
-    write_manifest(out, "pretrain", cfg, seeds, {str(args.config): _sha256_file(args.config)} | _prefixed_tree(root))
+    write_manifest(out, "pretrain", cfg, seeds, {str(args.config): _sha256_file(args.config)} | _prefixed_tree(root),
+                   dtype=state.theta.dtype)
     return 0
 
 
@@ -350,6 +370,7 @@ def cmd_adapt_eval(args) -> int:
         },
         {"seed": args.seed},
         {str(args.checkpoint): _sha256_file(args.checkpoint)} | _prefixed_tree(args.data),
+        dtype=theta.dtype,
     )
     return 0
 

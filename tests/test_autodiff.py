@@ -480,7 +480,37 @@ def test_tape_exit_frees_the_graph():
         assert alive() is None
     finally:
         gc.enable()
-    assert len(tape) == 0 and loss.parents == ()
+    assert len(tape) == 0 and loss.node.parents == ()
+
+
+def test_tape_keeps_only_what_the_backward_reads():
+    # with the cyclic collector off, an array lives only while something holds it:
+    # a node never holds its output, and a vjp holds only what it reads
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(4, 3)))  # constant features: x @ w keeps x for dw
+    w, b = Tensor(rng.normal(size=(3, 2)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+    gc.disable()
+    try:
+        for sweep in (False, True):
+            with Tape() as tape:
+                product = matmul(x, w)
+                biased = product + b
+                h = relu(biased)
+                dead = weakref.ref(product.data), weakref.ref(biased.data)
+                alive = weakref.ref(h.data)
+                loss = sum_(h)
+                del product, biased, h
+                assert dead[0]() is None and dead[1]() is None
+                assert alive() is not None  # relu's vjp reads its output
+                if sweep:  # the last sweep drops each vjp as it passes it
+                    grads = backward(loss, tape, {"w": w, "b": b})
+                    assert alive() is None
+                    with pytest.raises(ContractError):
+                        backward(loss, tape, {"w": w, "b": b})
+            assert alive() is None
+    finally:
+        gc.enable()
+    assert np.array_equal(grads["b"].data, (x.data @ w.data > 0).sum(axis=0).astype(float))
 
 
 def test_param_store_rejects_mixed_dtypes():

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -419,6 +420,8 @@ def test_adapt_eval_and_outputs(dataset, pretrained, tmp_path, capsys):
         mrows = list(csv.reader(fh))
     assert mrows[0][0] == "class"
     assert mrows[-1][0] == "overall"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["dtype"] == "float32" and manifest["runtime"]["numpy"] == np.__version__
 
 
 def test_adapt_eval_zero_episodes_usage_error(dataset, pretrained, tmp_path, capsys):
@@ -596,3 +599,11 @@ def test_manifest_contents(pretrained):
     assert manifest["command"] == "pretrain"
     assert "config_hash" in manifest and manifest["outputs"]
     assert any(k.endswith("loss.csv") for k in manifest["outputs"])
+    # what the bits depend on besides the inputs
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    runtime = manifest["runtime"]
+    assert runtime["numpy"] == np.__version__
+    assert runtime["blas"]["name"] == blas["name"] and runtime["blas"]["version"] == blas["version"]
+    assert runtime["threads"] == {var: os.environ.get(var)
+                                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    assert manifest["dtype"] == "float32"

@@ -230,23 +230,26 @@ def test_meta_gradient_second_order_matches_finite_differences(steps, monkeypatc
 
 def test_second_order_meta_gradient_peak_memory():
     # default widths, 2 support and 2 query blocks, float32. The traced peak
-    # is exact for fixed shapes. At P=128: 21.2 MB when the backward kept every
-    # node's gradient, the relu masks and the max-pool routing, and copied on
-    # transpose; 19.8 MB with only the copy gone; 12.3 MB when each sweep
-    # drops what it is done with. At P=1024: 71.6 MB when mlp2 was recorded on
-    # every point, 43.6 MB when it is recorded on the 256 gathered rows only
-    for points, bound_mb in ((128, 16), (1024, 56)):
+    # is exact for fixed shapes. Second order at P=128: 21.2 MB when the
+    # backward kept every node's gradient, the relu masks and the max-pool
+    # routing, and copied on transpose; 19.8 MB with only the copy gone;
+    # 12.4 MB when each sweep drops what it is done with; 4.7 MB when a node
+    # holds no output array, each vjp keeps only what it reads and the last
+    # sweep drops the vjps. At P=1024: 71.6 MB when mlp2 was recorded on
+    # every point, 44.2 MB when it is recorded on the 256 gathered rows only,
+    # 16.7 MB with the node/value split; first order 14.1 -> 5.6 MB
+    for mode, points, bound_mb in (("second_order", 128, 7), ("second_order", 1024, 24), ("first_order", 1024, 8)):
         model = PointNetConfig(num_classes=len(DEFAULT_CLASSES), points_per_block=points)
         task = SegmentationTask(random_episode(points, 2, 2, model.num_classes, seed=0, dtype=np.float32), model)
         theta = init_params(model, seed=0)
-        config = config_with(beta=1e-2, gradient_mode="second_order")
+        config = config_with(beta=1e-2, gradient_mode=mode)
         tracemalloc.start()
         try:
             meta_gradient(theta, [task], config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound_mb * 2**20, f"P={points}: peak traced memory {peak / 2**20:.1f} MB"
+        assert peak < bound_mb * 2**20, f"{mode} P={points}: peak traced memory {peak / 2**20:.1f} MB"
 
 
 def test_pretrain_non_finite_gradient_keeps_pre_step_state(small_distribution, monkeypatch):
