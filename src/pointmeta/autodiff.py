@@ -16,9 +16,12 @@ holders or a vjp that reads it.  Each vjp keeps only what it reads: ``add``,
 ``scatter_rows`` and ``max_over_points`` keep shapes, indices and argmaxes;
 ``mul`` and ``matmul`` keep an operand only when the other one needs a
 gradient; ``relu`` and ``exp`` keep their output; ``log`` and ``div`` keep
-their inputs.  A ``backward`` without ``create_graph`` is a tape's last
-sweep: it drops each vjp as it passes it, and the tape refuses a further
-sweep.
+their inputs.  ``add``, ``sub``, ``mul`` and ``matmul`` give a constant
+operand no gradient.  ``relu``'s mask and the max-pool routing are built
+when the vjp runs, as 1-byte bool arrays: a float times a bool has the bits
+of a float times 1.0 or 0.0.  A ``backward`` without ``create_graph`` is a
+tape's last sweep: it drops each vjp as it passes it, and the tape refuses
+a further sweep.
 
 Tapes are single-writer: build one tape per task evaluation and do not share
 it across threads.  Parameter stores are plain read-only data and may be
@@ -185,20 +188,25 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
-    a_shape, b_shape = a.data.shape, b.data.shape
+    # a constant operand (cross_entropy's row-max shift) gets no gradient
+    a_shape = a.data.shape if a.node is not None else None
+    b_shape = b.data.shape if b.node is not None else None
 
     def vjp(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+        return (_unbroadcast(g, a_shape) if a_shape is not None else None,
+                _unbroadcast(g, b_shape) if b_shape is not None else None)
 
     return _record(a.data + b.data, (a.node, b.node), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
-    a_shape, b_shape = a.data.shape, b.data.shape
+    a_shape = a.data.shape if a.node is not None else None
+    b_shape = b.data.shape if b.node is not None else None
 
     def vjp(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(mul(g, -1.0), b_shape)
+        return (_unbroadcast(g, a_shape) if a_shape is not None else None,
+                _unbroadcast(mul(g, -1.0), b_shape) if b_shape is not None else None)
 
     return _record(a.data - b.data, (a.node, b.node), vjp)
 
@@ -303,14 +311,14 @@ def log(a) -> Tensor:
 def relu(a) -> Tensor:
     """Elementwise max(x, 0); the subgradient at exactly 0 is defined as 0.
 
-    Keeps only its output array: the vjp builds the 0/1 mask from it when it
-    runs, so no mask lives from the forward to the backward.
+    Keeps only its output array: the vjp builds the bool mask ``data > 0``
+    from it when it runs, so no mask lives from the forward to the backward.
     """
     a = _lift(a)
     data = np.maximum(a.data, 0)
 
     def vjp(g):
-        return (mul(g, Tensor((data > 0).astype(data.dtype))),)
+        return (mul(g, Tensor(data > 0)),)
 
     return _record(data, (a.node,), vjp)
 
@@ -320,17 +328,18 @@ def max_over_points(a) -> Tensor:
 
     The gradient of each feature flows only to its argmax point; ties break
     toward the lowest point index (numpy argmax convention).  Keeps only the
-    [F] argmax; the vjp builds the [P, F] 0/1 routing from it when it runs.
+    [F] argmax; the vjp builds the [P, F] routing from it when it runs, as a
+    bool array like ``relu``'s mask.
     """
     a = _lift(a)
     if a.ndim != 2 or a.shape[0] < 1:
         raise DimensionError(f"max_over_points: need a non-empty [P, F] input, got {a.shape}")
     argmax, columns = np.argmax(a.data, axis=0), np.arange(a.shape[1])
-    a_shape, a_dtype = a.data.shape, a.data.dtype
+    a_shape = a.data.shape
 
     def vjp(g):
-        routing = np.zeros(a_shape, dtype=a_dtype)
-        routing[argmax, columns] = 1
+        routing = np.zeros(a_shape, dtype=bool)
+        routing[argmax, columns] = True
         return (mul(Tensor(routing), reshape(g, (1, a_shape[1]))),)
 
     return _record(a.data[argmax, columns], (a.node,), vjp)

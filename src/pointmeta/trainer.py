@@ -11,11 +11,15 @@ Two gradient modes:
 * ``first_order`` treats the adapted parameters as if they did not depend
   on theta and takes the query gradient at phi directly.
 * ``second_order`` differentiates through the inner update(s) by keeping
-  the inner backward pass on the tape.
+  the inner backward pass on the tape.  The query set then runs one block
+  at a time, each on a tape of its own, and the summed query gradient at
+  phi is pulled back through the support tape, so no more than one query
+  block's graph is alive beside it.
 
-Tasks are expressed as objectives with ``support_loss``/``query_loss`` so
+A task is two lists of per-block loss terms, ``support_terms`` and
+``query_terms``, each a function of the parameters to a scalar tensor, so
 the same machinery runs the segmentation network and the closed-form test
-problems.
+problems; the trainer owns their mean (``mean_loss``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import ParamStore, Tape, Tensor, backward, cross_entropy, grad_array, sgd_step
+from .autodiff import ParamStore, Tape, Tensor, backward, cross_entropy, grad_array, sgd_step, sum_
 from .errors import ConfigError, DivergenceError
 from .metrics import ConfusionMatrix, SegMetrics, accumulate, compute_metrics
 from .model import PointNetConfig, forward, init_params, predict_labels
@@ -74,23 +78,34 @@ class MetaConfig:
 
 @dataclass
 class SegmentationTask:
-    """Episode losses: mean per-point cross-entropy over the set's blocks."""
+    """One per-point cross-entropy term per block of the episode's sets."""
 
     episode: Episode
     model: PointNetConfig
 
-    def _set_loss(self, params, samples) -> Tensor:
-        total = None
-        for sample in samples:
-            loss = cross_entropy(forward(self.model, params, sample.features), sample.labels)
-            total = loss if total is None else total + loss
-        return total * (1.0 / len(samples))
+    def _terms(self, samples) -> list:
+        return [lambda params, s=s: cross_entropy(forward(self.model, params, s.features), s.labels)
+                for s in samples]
 
-    def support_loss(self, params) -> Tensor:
-        return self._set_loss(params, self.episode.support)
+    @property
+    def support_terms(self) -> list:
+        return self._terms(self.episode.support)
 
-    def query_loss(self, params) -> Tensor:
-        return self._set_loss(params, self.episode.query)
+    @property
+    def query_terms(self) -> list:
+        return self._terms(self.episode.query)
+
+
+def mean_loss(values, count: int | None = None) -> Tensor:
+    """The block-order sum of per-block loss values times 1/count, by default their mean.
+
+    Scaled by the whole set's count, one block's term seeds its gradient with
+    the same bits as the mean over the set does.
+    """
+    total = None
+    for value in values:
+        total = value if total is None else total + value
+    return total * (1.0 / (len(values) if count is None else count))
 
 
 def inner_adapt(theta: ParamStore, task, beta: float, steps: int = 1) -> ParamStore:
@@ -99,36 +114,61 @@ def inner_adapt(theta: ParamStore, task, beta: float, steps: int = 1) -> ParamSt
     for _ in range(steps):
         with Tape() as tape:
             tensors = phi.tensors()
-            loss = task.support_loss(tensors)
+            loss = mean_loss([term(tensors) for term in task.support_terms])
             grads = backward(loss, tape, tensors)
         phi = sgd_step(phi, grads, beta)
     return phi if phi is not theta else theta.copy()
 
 
+def _leaf_gradient(params: ParamStore, terms, count: int) -> tuple[dict[str, np.ndarray], list[Tensor]]:
+    """Gradient of the terms' sum over ``count`` at fresh leaves holding ``params``, and the terms' values.
+
+    The terms are recorded on a tape of their own, which is freed on return.
+    """
+    with Tape() as tape:
+        leaves = params.tensors()
+        parts = [term(leaves) for term in terms]
+        grads = backward(mean_loss(parts, count), tape, leaves)
+    return {n: grad_array(g) for n, g in grads.items()}, [Tensor(p.data) for p in parts]
+
+
 def meta_gradient(theta: ParamStore, tasks, config: MetaConfig) -> tuple[dict[str, np.ndarray], float]:
     """Gradient of the batch-averaged query loss with respect to theta, and that loss.
 
-    Each task gets its own tape.  First order starts the tape at the adapted
-    phi, so the query gradient ignores how phi depends on theta; second order
-    starts it at theta and records the inner steps with ``create_graph``.
+    First order takes the query gradient at the adapted phi on one tape, so
+    it ignores how phi depends on theta.  Second order records the inner
+    steps on theta's tape with ``create_graph``, runs the query blocks last
+    first on tapes of their own at phi's values (the order in which one sweep
+    over the whole set adds their gradients, so the bits are that sweep's),
+    and pulls the sum back through the support tape.
     """
     if not tasks:
         raise ConfigError("need at least one task")
-    second_order = config.gradient_mode == "second_order"
     total: dict[str, np.ndarray] = {}
     losses = []
     for task in tasks:
-        start = theta if second_order else inner_adapt(theta, task, config.beta, config.inner_steps)
-        with Tape() as tape:
-            leaves = current = start.tensors()
-            for _ in range(config.inner_steps if second_order else 0):
-                inner_grads = backward(task.support_loss(current), tape, current, create_graph=True)
-                current = {n: current[n] - config.beta * inner_grads[n] for n in current}
-            loss = task.query_loss(current)
-            grads = backward(loss, tape, leaves)
-        losses.append(loss.item())
-        for name, g in grads.items():
-            arr = grad_array(g)
+        query = task.query_terms
+        if config.gradient_mode == "first_order":
+            phi = inner_adapt(theta, task, config.beta, config.inner_steps)
+            grads, values = _leaf_gradient(phi, query, len(query))
+        else:
+            with Tape() as tape:
+                leaves = current = theta.tensors()
+                for _ in range(config.inner_steps):
+                    loss = mean_loss([term(current) for term in task.support_terms])
+                    inner_grads = backward(loss, tape, current, create_graph=True)
+                    current = {n: current[n] - config.beta * inner_grads[n] for n in current}
+                phi = ParamStore({n: t.data for n, t in current.items()})
+                # the query blocks, last first, each on its own tape
+                summed, values = None, [None] * len(query)
+                for b in reversed(range(len(query))):
+                    block, (values[b],) = _leaf_gradient(phi, query[b:b + 1], len(query))
+                    summed = block if summed is None else {n: summed[n] + block[n] for n in block}
+                # the sum of sum(phi * G), whose gradient at phi is exactly G
+                pull = mean_loss([sum_(current[n] * Tensor(g)) for n, g in summed.items()], count=1)
+                grads = {n: grad_array(g) for n, g in backward(pull, tape, leaves).items()}
+        losses.append(mean_loss(values).item())
+        for name, arr in grads.items():
             total[name] = arr.copy() if name not in total else total[name] + arr
     scale = np.asarray(1.0 / len(tasks), dtype=theta.dtype)
     return {n: a * scale for n, a in total.items()}, float(np.mean(losses))

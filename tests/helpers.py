@@ -6,22 +6,28 @@ import numpy as np
 
 from pointmeta.autodiff import ParamStore, Tensor
 from pointmeta.model import PointNetConfig, layer_shapes
+from pointmeta.sampler import BlockRef, BlockSample, Episode
 
 
 @dataclass
 class QuadraticTask:
-    """1-parameter analytic task: support (w-a)^2, query (w-b)^2."""
+    """1-parameter analytic task: one support term (w-a)^2 and one query term (w-b)^2."""
 
     a: float
     b: float
 
-    def support_loss(self, params) -> Tensor:
-        d = params["w"] - self.a
+    @staticmethod
+    def _square(params, target) -> Tensor:
+        d = params["w"] - target
         return d * d
 
-    def query_loss(self, params) -> Tensor:
-        d = params["w"] - self.b
-        return d * d
+    @property
+    def support_terms(self) -> list:
+        return [lambda params: self._square(params, self.a)]
+
+    @property
+    def query_terms(self) -> list:
+        return [lambda params: self._square(params, self.b)]
 
 
 def num_params(config: PointNetConfig) -> int:
@@ -32,3 +38,15 @@ def num_params(config: PointNetConfig) -> int:
 def num_values(params: ParamStore) -> int:
     """Number of scalars held by ``params``."""
     return sum(params[name].size for name in params)
+
+
+def random_episode(points, n_support, n_query, num_classes, seed, dtype=np.float64) -> Episode:
+    """An episode of random feature blocks, built without a dataset."""
+    rng = np.random.default_rng(seed)
+
+    def sample(i):
+        features = rng.normal(size=(points, 9)).astype(dtype)
+        labels = rng.integers(0, num_classes, size=points)
+        return BlockSample(BlockRef("A", f"office_{i}", (i, 0), "office"), i, features, labels)
+
+    return Episode([sample(i) for i in range(n_support)], [sample(n_support + i) for i in range(n_query)], ["office"])

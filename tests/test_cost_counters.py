@@ -1,0 +1,68 @@
+"""Exact per-step costs of one meta-step: tape nodes, backward calls, matmul calls and FLOPs.
+
+These counts depend only on the model, P and the episode shape, never on the
+host, so they catch a cost regression that timings on a noisy machine cannot.
+The episode shape is the benchmark's: 2-way 6-shot, 12 support and 12 query
+blocks, 6 classes, default widths, one inner step.  ``matmul`` and
+``trainer.backward`` are wrapped where ``perfbench/probes.py`` wraps them, and
+tape nodes are counted as there: the nodes each tape gained since its last
+backward.  A change that lowers a count tightens its pin here.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+
+from helpers import random_episode
+from pointmeta import autodiff, model, trainer
+
+COUNTED = ("tape_nodes", "backward_calls", "matmul_calls", "matmul_flop")
+
+# (mode, P) -> the counts of one meta-step.  The matmul work is that of one
+# tape holding the whole query set.  Second order tapes each query block on
+# its own and pulls their summed gradient back through the support tape in
+# one more backward: 14 backward calls where one shared tape took 2, and
+# 1960 tape nodes where it recorded 1936.  The pull-back adds 48 nodes;
+# 24 went when sub stopped recording a gradient for cross_entropy's constant
+# shift (2 per support block); the per-block scales replace the shared
+# sum's 11 adds and 1 scale one for one
+EXPECTED = {
+    ("first_order", 32): {"tape_nodes": 936, "backward_calls": 2, "matmul_calls": 624, "matmul_flop": 310_247_424},
+    ("second_order", 1024): {"tape_nodes": 1960, "backward_calls": 14, "matmul_calls": 1296,
+                             "matmul_flop": 11_783_897_088},
+}
+
+
+def count_one_step(monkeypatch, mode: str, points: int) -> dict[str, int]:
+    counts = dict.fromkeys(COUNTED, 0)
+    seen = weakref.WeakKeyDictionary()
+    backward, matmul = trainer.backward, autodiff.matmul
+
+    def counted_backward(loss, tape, wrt, create_graph=False):
+        counts["backward_calls"] += 1
+        counts["tape_nodes"] += len(tape.nodes) - seen.get(tape, 0)
+        seen[tape] = len(tape.nodes)
+        return backward(loss, tape, wrt, create_graph=create_graph)
+
+    def counted_matmul(a, b):
+        (m, k), (_, n) = a.shape, b.shape
+        counts["matmul_calls"] += 1
+        counts["matmul_flop"] += 2 * m * k * n
+        return matmul(a, b)
+
+    config = model.PointNetConfig(num_classes=6, points_per_block=points)
+    task = trainer.SegmentationTask(random_episode(points, 12, 12, 6, seed=0, dtype=np.float32), config)
+    state = trainer.TrainState(theta=model.init_params(config, seed=0))
+    meta = trainer.MetaConfig(alpha=1e-3, beta=1e-3, gradient_mode=mode)
+    with monkeypatch.context() as patched:
+        patched.setattr(trainer, "backward", counted_backward)
+        for owner in (model, autodiff):
+            patched.setattr(owner, "matmul", counted_matmul)
+        trainer.meta_step(state, [task], meta)
+    return counts
+
+
+@pytest.mark.parametrize(("mode", "points"), list(EXPECTED))
+def test_meta_step_costs_are_pinned(monkeypatch, mode, points):
+    assert count_one_step(monkeypatch, mode, points) == EXPECTED[mode, points]

@@ -1,22 +1,25 @@
+import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import QuadraticTask
+from helpers import QuadraticTask, random_episode
 from pointmeta import model as model_module
 from pointmeta import trainer as trainer_module
-from pointmeta.autodiff import ParamStore, Tensor, add, finite_diff_gradient
+from pointmeta.autodiff import ParamStore, Tape, Tensor, add, backward, finite_diff_gradient, sgd_step
 from pointmeta.data import DEFAULT_CLASSES, Area, Room, SyntheticAreaSpec, generate_synthetic_area
 from pointmeta.errors import ConfigError, DivergenceError
 from pointmeta.model import PointNetConfig, forward, init_params
-from pointmeta.sampler import BlockRef, BlockSample, Episode, EpisodeSpec, build_task_distribution, index_categories
+from pointmeta.sampler import EpisodeSpec, build_task_distribution, index_categories
 from pointmeta.trainer import (
     MetaConfig,
     SegmentationTask,
     TrainState,
     adapt_and_eval,
     inner_adapt,
+    mean_loss,
     meta_gradient,
     meta_step,
     pretrain,
@@ -41,9 +44,14 @@ def config_with(**kwargs):
     return MetaConfig(**base)
 
 
+def query_loss(task, params) -> float:
+    """The task's query loss at ``params``: the mean of its query terms."""
+    return mean_loss([term(params) for term in task.query_terms]).item()
+
+
 def mean_adapted_query_loss(theta, tasks, beta):
     """Mean query loss over tasks, each adapted from the shared theta."""
-    return float(np.mean([task.query_loss(inner_adapt(theta, task, beta).tensors()).item() for task in tasks]))
+    return float(np.mean([query_loss(task, inner_adapt(theta, task, beta).tensors()) for task in tasks]))
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +89,7 @@ def test_inner_adapt_does_not_mutate_theta():
 
 def test_query_loss_quadratic():
     phi = quad_theta(0.5)
-    assert QuadraticTask(a=1.0, b=2.0).query_loss(phi.tensors()).item() == pytest.approx(2.25)
+    assert query_loss(QuadraticTask(a=1.0, b=2.0), phi.tensors()) == pytest.approx(2.25)
 
 
 def test_query_loss_uniform_logits_is_log_c():
@@ -91,18 +99,19 @@ def test_query_loss_uniform_logits_is_log_c():
     labels = rng.integers(0, TINY_MODEL.num_classes, size=32)
 
     class OneBlock:
-        def query_loss(self, params):
+        @property
+        def query_terms(self):
             from pointmeta.autodiff import cross_entropy
 
-            return cross_entropy(forward(TINY_MODEL, params, features), labels)
+            return [lambda params: cross_entropy(forward(TINY_MODEL, params, features), labels)]
 
-    assert OneBlock().query_loss(zeros.tensors()).item() == pytest.approx(np.log(TINY_MODEL.num_classes), rel=1e-5)
+    assert query_loss(OneBlock(), zeros.tensors()) == pytest.approx(np.log(TINY_MODEL.num_classes), rel=1e-5)
 
 
 def test_collaborative_loss_single_task_degenerates():
     task = QuadraticTask(a=1.0, b=2.0)
     single = mean_adapted_query_loss(quad_theta(0.0), [task], beta=0.25)
-    direct = task.query_loss(inner_adapt(quad_theta(0.0), task, 0.25).tensors()).item()
+    direct = query_loss(task, inner_adapt(quad_theta(0.0), task, 0.25).tensors())
     assert single == pytest.approx(direct)
     doubled = mean_adapted_query_loss(quad_theta(0.0), [task, task], beta=0.25)
     assert doubled == pytest.approx(single)
@@ -172,18 +181,6 @@ GRADCHECK_MODEL = PointNetConfig(
 )
 
 
-def random_episode(points, n_support, n_query, num_classes, seed, dtype=np.float64):
-    """An episode of random feature blocks, built without a dataset."""
-    rng = np.random.default_rng(seed)
-
-    def sample(i):
-        features = rng.normal(size=(points, 9)).astype(dtype)
-        labels = rng.integers(0, num_classes, size=points)
-        return BlockSample(BlockRef("A", f"office_{i}", (i, 0), "office"), i, features, labels)
-
-    return Episode([sample(i) for i in range(n_support)], [sample(n_support + i) for i in range(n_query)], ["office"])
-
-
 def relu_ignoring_its_mask(a):
     # the same forward bits as relu, but the gradient passes everywhere
     return add(a, Tensor(np.maximum(a.data, 0) - a.data))
@@ -204,7 +201,7 @@ def test_meta_gradient_second_order_matches_finite_differences(steps, monkeypatc
 
         def adapted_query_loss(subset):
             store = ParamStore({n: subset[n] if n in subset else a for n, a in theta.items()})
-            return task.query_loss(inner_adapt(store, task, beta, steps)).item()
+            return query_loss(task, inner_adapt(store, task, beta, steps))
 
         fd = finite_diff_gradient(adapted_query_loss, ParamStore({n: theta[n] for n in names}), eps=1e-6)
 
@@ -228,19 +225,83 @@ def test_meta_gradient_second_order_matches_finite_differences(steps, monkeypatc
             assert worst_error("second_order") > 0.1, points
 
 
+def single_tape_meta_gradient(theta, tasks, config):
+    """The meta-gradient with the whole query set on each task's one tape, as the reference.
+
+    Each set's loss is summed block by block as its forwards run, then scaled;
+    in second order the query blocks share the tape of theta and the inner steps.
+    """
+
+    def set_loss(params, terms):
+        total = None
+        for term in terms:
+            value = term(params)
+            total = value if total is None else total + value
+        return total * (1.0 / len(terms))
+
+    def adapt(task):
+        phi = theta
+        for _ in range(config.inner_steps):
+            with Tape() as tape:
+                tensors = phi.tensors()
+                grads = backward(set_loss(tensors, task.support_terms), tape, tensors)
+            phi = sgd_step(phi, grads, config.beta)
+        return phi
+
+    second_order = config.gradient_mode == "second_order"
+    total, losses = {}, []
+    for task in tasks:
+        with Tape() as tape:
+            leaves = current = (theta if second_order else adapt(task)).tensors()
+            for _ in range(config.inner_steps if second_order else 0):
+                inner_grads = backward(set_loss(current, task.support_terms), tape, current, create_graph=True)
+                current = {n: current[n] - config.beta * inner_grads[n] for n in current}
+            loss = set_loss(current, task.query_terms)
+            grads = backward(loss, tape, leaves)
+        losses.append(loss.item())
+        for name, g in grads.items():
+            total[name] = g.data.copy() if name not in total else total[name] + g.data
+    scale = np.asarray(1.0 / len(tasks), dtype=theta.dtype)
+    return {n: a * scale for n, a in total.items()}, float(np.mean(losses))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["first_order", "second_order"])
+def test_meta_gradient_bits_match_one_tape_per_task(mode, dtype):
+    # two tasks of 2 support and 3 query blocks; 16 points is below the mlp2
+    # width of 32, 48 above it, and the T-Net pools 80 points past its 64
+    cases = ((GRADCHECK_MODEL, 16), (GRADCHECK_MODEL, 48), (replace(GRADCHECK_MODEL, use_tnet=True), 80))
+    for (model, points), steps in itertools.product(cases, (1, 2)):
+        theta = init_params(model, seed=2, dtype=dtype)
+        tasks = [SegmentationTask(random_episode(points, 2, 3, model.num_classes, seed=s, dtype=dtype), model)
+                 for s in (0, 1)]
+        config = config_with(beta=0.5, inner_steps=steps, tasks_per_batch=2, gradient_mode=mode)
+        grads, loss = meta_gradient(theta, tasks, config)
+        want, want_loss = single_tape_meta_gradient(theta, tasks, config)
+        assert loss == want_loss, (points, steps)
+        assert all(np.array_equal(grads[n], want[n]) for n in want), (model.use_tnet, points, steps)
+        assert all(grads[n].dtype == dtype for n in want)
+
+
 def test_second_order_meta_gradient_peak_memory():
-    # default widths, 2 support and 2 query blocks, float32. The traced peak
-    # is exact for fixed shapes. Second order at P=128: 21.2 MB when the
-    # backward kept every node's gradient, the relu masks and the max-pool
-    # routing, and copied on transpose; 19.8 MB with only the copy gone;
-    # 12.4 MB when each sweep drops what it is done with; 4.7 MB when a node
-    # holds no output array, each vjp keeps only what it reads and the last
-    # sweep drops the vjps. At P=1024: 71.6 MB when mlp2 was recorded on
-    # every point, 44.2 MB when it is recorded on the 256 gathered rows only,
-    # 16.7 MB with the node/value split; first order 14.1 -> 5.6 MB
-    for mode, points, bound_mb in (("second_order", 128, 7), ("second_order", 1024, 24), ("first_order", 1024, 8)):
+    # default widths, 2 support blocks and 2 or 6 query blocks, float32. The
+    # traced peak is exact for fixed shapes. Second order at P=128: 21.2 MB
+    # when the backward kept every node's gradient, the relu masks and the
+    # max-pool routing, and copied on transpose; 19.8 MB with only the copy
+    # gone; 12.4 MB when each sweep drops what it is done with; 4.7 MB when a
+    # node holds no output array, each vjp keeps only what it reads and the
+    # last sweep drops the vjps; 4.8 MB with a tape per query block. At
+    # P=1024: 71.6 MB when mlp2 was recorded on every point, 44.2 MB when it
+    # is recorded on the 256 gathered rows only, 16.7 MB with the node/value
+    # split, 12.3 MB with a tape per query block and 1-byte masks. With 6
+    # query blocks 24.2 MB when they shared the support tape, 12.7 MB when
+    # each has its own. First order 14.1 -> 5.6 MB
+    cases = (("second_order", 128, 2, 6), ("second_order", 1024, 2, 14), ("second_order", 1024, 6, 14),
+             ("first_order", 1024, 2, 7))
+    for mode, points, n_query, bound_mb in cases:
         model = PointNetConfig(num_classes=len(DEFAULT_CLASSES), points_per_block=points)
-        task = SegmentationTask(random_episode(points, 2, 2, model.num_classes, seed=0, dtype=np.float32), model)
+        episode = random_episode(points, 2, n_query, model.num_classes, seed=0, dtype=np.float32)
+        task = SegmentationTask(episode, model)
         theta = init_params(model, seed=0)
         config = config_with(beta=1e-2, gradient_mode=mode)
         tracemalloc.start()
@@ -249,7 +310,7 @@ def test_second_order_meta_gradient_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound_mb * 2**20, f"{mode} P={points}: peak traced memory {peak / 2**20:.1f} MB"
+        assert peak < bound_mb * 2**20, f"{mode} P={points}, {n_query} query: peak traced memory {peak / 2**20:.1f} MB"
 
 
 def test_pretrain_non_finite_gradient_keeps_pre_step_state(small_distribution, monkeypatch):
