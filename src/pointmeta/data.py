@@ -79,13 +79,16 @@ class Room:
     name: str
     room_type: str
     xyz: np.ndarray  # [N, 3] meters
-    rgb: np.ndarray  # [N, 3] integers in 0..255
+    rgb: np.ndarray  # [N, 3] uint8 once checked: any integer dtype in, values in 0..255
     labels: np.ndarray  # [N] class ids
 
     def __post_init__(self):
         if len(self.xyz) != len(self.labels) or len(self.xyz) != len(self.rgb):
             raise ValidationError(f"room {self.name}: points/colors/labels lengths differ")
+        if self.rgb.dtype.kind not in "iu":  # a float would be truncated, a NaN pass the range check
+            raise ValidationError(f"room {self.name}: colors must be integers, got dtype {self.rgb.dtype}")
         check_points(f"room {self.name}", self.xyz, self.rgb, self.labels)
+        self.rgb = self.rgb.astype(np.uint8, copy=False)
         if self.room_type not in ROOM_TYPES:
             raise ValidationError(f"room {self.name}: unknown room type {self.room_type!r}")
 
@@ -523,7 +526,7 @@ def _generate_room(template: RoomTemplate, spec: SyntheticAreaSpec, name: str, r
     for label, color, (axis, level, lo, hi) in surfaces:
         pts = _sample_rect(rng, axis, level, lo, hi, spec.density)
         noise = rng.normal(scale=spec.color_noise, size=(len(pts), 3)) if spec.color_noise else np.zeros((len(pts), 3))
-        colors = np.clip(color + noise, 0, 255).astype(np.int64)
+        colors = np.clip(color + noise, 0, 255).astype(np.uint8)
         xyz.append(pts)
         rgb.append(colors)
         labels.append(np.full(len(pts), class_id[label], dtype=np.int64))

@@ -137,12 +137,25 @@ def _pooled_chain(tensors, prefix: str, n_layers: int, x: Tensor) -> Tensor:
     With P > F while a tape records, an unrecorded pass marks each column's first
     maximum and pads the set with the lowest other rows to exactly F (fixed shapes);
     the pool's values, argmax and gradients stay the same, as the rows left out get
-    none from it.  With no tape recording, the chain runs once on all P rows.
+    none from it.  That pass is numpy in place, its products through the counted
+    ``matmul``; the last one is ``W.T @ h.T``, so each column of the chain is a
+    contiguous row to take the first maximum of.  With no tape recording, the
+    chain runs once on all P rows.
     """
     width = tensors[f"{prefix}.{n_layers - 1}.b"].shape[0]
     if x.shape[0] > width and active_tape() is not None:
-        deep = _dense_chain({n: Tensor(t.data) for n, t in tensors.items()}, prefix, n_layers, Tensor(x.data))
-        keep = np.isin(np.arange(x.shape[0]), np.argmax(deep.data, axis=0))
+        layers = [(tensors[f"{prefix}.{i}.w"].data, tensors[f"{prefix}.{i}.b"].data) for i in range(n_layers)]
+        h = x.data
+        for w, b in layers[:-1]:
+            h = matmul(Tensor(h), Tensor(w)).data
+            h += b
+            np.maximum(h, 0, out=h)
+        w, b = layers[-1]
+        deep = matmul(Tensor(w.T), Tensor(h.T)).data  # [F, P]
+        deep += b[:, None]
+        np.maximum(deep, 0, out=deep)
+        keep = np.zeros(x.shape[0], dtype=bool)
+        keep[np.argmax(deep, axis=1)] = True
         keep[np.flatnonzero(~keep)[: width - np.count_nonzero(keep)]] = True
         x = take_rows(x, np.flatnonzero(keep))
     return max_over_points(_dense_chain(tensors, prefix, n_layers, x))

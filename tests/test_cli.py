@@ -248,6 +248,20 @@ def test_ingest_room_file_name_errors_name_the_file(dataset, tmp_path, capsys, s
     assert capsys.readouterr().err == f"error: {renamed}: {message}\n"
 
 
+@pytest.mark.parametrize("color", [256, -1])
+def test_ingest_color_outside_one_byte_names_the_line(dataset, tmp_path, capsys, color):
+    # the file is parsed as int64, so a color a uint8 would wrap is still reported at its line
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    room = copy / "AreaB/office_1.txt"
+    lines = room.read_text().splitlines(keepends=True)
+    fields = lines[2].split()
+    lines[2] = " ".join(fields[:4] + [str(color)] + fields[5:]) + "\n"
+    room.write_text("".join(lines))
+    assert main(["ingest", "--data", str(copy)]) == 2
+    assert capsys.readouterr().err == f"error: {room}:3: color outside [0, 255]\n"
+
+
 def test_pretrain_outputs(pretrained):
     names = {p.name for p in pretrained.iterdir()}
     assert {"ckpt_epoch0", "ckpt_epoch1", "ckpt_epoch2", "loss.csv", "manifest.json"} <= names

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,14 @@ def load_room_oracle(text: str, path, n_classes: int):
     )
 
 
+def assert_room_arrays(room, want) -> None:
+    """``room`` holds the oracle's (xyz, rgb, labels) values, as float64, uint8 and int64 arrays."""
+    assert (room.xyz.dtype, room.rgb.dtype, room.labels.dtype) == (np.float64, np.uint8, np.int64)
+    for got, expected in zip((room.xyz, room.rgb, room.labels), want):
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert got.tobytes() == expected.astype(got.dtype).tobytes()  # -0.0 and 0.0 told apart
+
+
 def export_ply_oracle(block, labels, palette) -> bytes:
     """The per-line PLY writer that the table writer must match byte for byte."""
     lines = [
@@ -312,9 +321,7 @@ def test_room_and_ply_writers_match_the_per_line_oracle(tmp_path_factory, points
     write_room(room, path)
     assert path.read_bytes() == write_room_oracle(room)
     back = load_room(path, VOCAB_13)
-    for got, want in zip((back.xyz, back.rgb, back.labels), read_room_oracle(path.read_text())):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+    assert_room_arrays(back, read_room_oracle(path.read_text()))
     block, ply = make_block(room.xyz, room.rgb, room.labels), path.with_suffix(".ply")
     export_ply(block, block.labels, DEFAULT_PALETTE, ply)
     assert ply.read_bytes() == export_ply_oracle(block, block.labels, DEFAULT_PALETTE)
@@ -390,10 +397,7 @@ def test_load_room_equals_the_line_oracle(tmp_path_factory, lines, bad, last_new
             load_room(path, DEFAULT_CLASSES)
         assert str(info.value) == want
         return
-    room = load_room(path, DEFAULT_CLASSES)
-    for got, expected in zip((room.xyz, room.rgb, room.labels), want):
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+    assert_room_arrays(load_room(path, DEFAULT_CLASSES), want)
 
 
 def test_write_room_keeps_integers_above_2_53(tmp_path):
@@ -541,6 +545,34 @@ def test_resample_deterministic_and_label_aligned():
     assert np.array_equal(a.xyz, b.xyz)
     lookup = {tuple(p): l for p, l in zip(xyz, labels)}
     assert all(lookup[tuple(p)] == l for p, l in zip(a.xyz, a.labels))
+
+
+def test_colors_stay_one_byte_from_room_file_to_resampled_block(tmp_path):
+    # generated, loaded, partitioned and resampled colors are uint8 and hold the line oracle's values
+    spec = SyntheticAreaSpec("AreaA", (("office", 1), ("storage", 1)), density=40)
+    for generated in generate_synthetic_area(spec, seed=3).rooms:
+        path = tmp_path / f"{generated.name}.txt"
+        write_room(generated, path)
+        xyz, rgb, labels = read_room_oracle(path.read_text())
+        assert generated.rgb.dtype == np.uint8 and np.array_equal(generated.rgb, rgb)
+        room = load_room(path, DEFAULT_CLASSES)
+        assert_room_arrays(room, (xyz, rgb, labels))
+        cells = np.floor(xyz[:, :2] - xyz[:, :2].min(axis=0)).astype(np.int64)
+        for block in partition_blocks(room):  # a cell keeps its points in file order
+            assert block.rgb.dtype == np.uint8
+            assert np.array_equal(block.rgb, rgb[(cells == block.grid).all(axis=1)])
+            numbered = replace(block, labels=np.arange(len(block)))  # each resampled point names its source
+            for n_points in (len(block), 2 * len(block), max(len(block) // 2, 1)):
+                out = resample_block(numbered, n_points, np.random.default_rng(n_points))
+                assert out.rgb.dtype == np.uint8 and np.array_equal(out.rgb, block.rgb[out.labels])
+
+
+@pytest.mark.parametrize("rgb", [np.full((2, 3), 128.0), np.full((2, 3), np.nan), np.ones((2, 3), dtype=bool)],
+                         ids=["float", "nan", "bool"])
+def test_room_rejects_colors_not_of_an_integer_dtype(rgb):
+    # a float color would be truncated on writing and a NaN would pass the range check
+    with pytest.raises(ValidationError, match=f"^room office_1: colors must be integers, got dtype {rgb.dtype}$"):
+        make_room(np.zeros((2, 3)), rgb=rgb)
 
 
 def test_resample_empty_block_error():

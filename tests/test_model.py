@@ -89,22 +89,29 @@ def test_forward_permutation_equivariance_bit_exact():
 
 
 def test_untaped_forward_runs_the_pooled_chain_once(monkeypatch):
-    # past the mlp2 width of 32 only a recording tape needs the gather, which
-    # costs a second, unrecorded pass through the chain
-    calls, dense_chain = [], model_module._dense_chain
+    # past the mlp2 width of 32 only a recording tape needs the gather; its
+    # selection pass is plain numpy, so it is seen as three unrecorded products
+    calls, dense_chain, products, matmul = [], model_module._dense_chain, [], model_module.matmul
 
     def counted(tensors, prefix, n_layers, *parts):
         calls.append(prefix)
         return dense_chain(tensors, prefix, n_layers, *parts)
 
+    def counted_matmul(a, b):
+        products.append((a.shape, b.shape, a.node is None and b.node is None))
+        return matmul(a, b)
+
     monkeypatch.setattr(model_module, "_dense_chain", counted)
+    monkeypatch.setattr(model_module, "matmul", counted_matmul)
     params = init_params(MINI, seed=1)
     block = np.random.default_rng(9).normal(size=(40, 9)).astype(np.float32)
     untaped = forward(MINI, params, block)
     assert calls.count("mlp2") == 1
+    del products[:]
     with Tape():
         taped = forward(MINI, params, block)
-    assert calls.count("mlp2") == 3
+    assert calls.count("mlp2") == 2
+    assert [(a, b) for a, b, constant in products if constant] == [((40, 8), (8, 8)), ((40, 8), (8, 16)), ((32, 16), (16, 40))]
     assert np.array_equal(untaped.data, taped.data)
 
 
@@ -126,6 +133,36 @@ def _concatenated_head_logits(config, params, x):
     h = _chain(params, "head", len(config.seg_head_widths),
                np.hstack([local, np.broadcast_to(pooled, (len(x), pooled.size))]))
     return h @ params["out.w"] + params["out.b"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(("config", "prefix", "n_layers", "width"), [(MINI, "mlp2", 3, 32), (MINI_TNET, "tnet.mlp", 2, 64)],
+                         ids=["mlp2", "tnet"])
+@pytest.mark.parametrize("excess", [1, 4], ids=["F+1", "4F"])
+def test_pool_keeps_each_columns_first_maximum_padded_with_the_lowest_rows(monkeypatch, config, prefix, n_layers, width,
+                                                                           dtype, excess):
+    arrays = {n: a.copy() for n, a in init_params(config, seed=2, dtype=dtype).items()}
+    # a dead unit: the last layer's column 0 is negative on every row before its relu and 0 after it,
+    # so its first maximum is row 0
+    arrays[f"{prefix}.{n_layers - 1}.b"][0] = -1e3
+    points = width + 1 if excess == 1 else 4 * width
+    rng = np.random.default_rng(points)
+    x = rng.normal(size=(points, arrays[f"{prefix}.0.w"].shape[0])).astype(dtype)
+    x[points // 2:points // 2 + 3] = x[points // 3]  # duplicated rows tie in every column
+    gathered, take_rows = [], model_module.take_rows
+
+    def recorded(a, rows):
+        gathered.append(rows)
+        return take_rows(a, rows)
+
+    monkeypatch.setattr(model_module, "take_rows", recorded)
+    with Tape():
+        pooled = model_module._pooled_chain(ParamStore(arrays).tensors(), prefix, n_layers, Tensor(x))
+    deep = _chain(arrays, prefix, n_layers, x)
+    want = np.isin(np.arange(points), np.argmax(deep, axis=0))
+    want[np.flatnonzero(~want)[: width - np.count_nonzero(want)]] = True
+    assert len(gathered) == 1 and np.array_equal(gathered[0], np.flatnonzero(want))
+    assert np.array_equal(pooled.data, deep.max(axis=0))
 
 
 def test_forward_matches_concatenated_head_reference():
