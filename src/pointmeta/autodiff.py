@@ -4,24 +4,26 @@ Operations compute eagerly with numpy and, while a :class:`Tape` is active,
 record a :class:`Node` in creation order (which is a topological order).
 ``backward`` replays the tape in reverse to accumulate gradients.
 
-The backward rule of every primitive is itself built from primitives, so
+The thirteen primitives, the ops that call ``_record``, are ``add sub mul
+div matmul transpose reshape sum_ exp log relu take_rows scatter_rows``;
+``max_over_points`` and ``cross_entropy`` are composites of them.  The
+backward rule of every primitive is itself built from primitives, so
 running ``backward(..., create_graph=True)`` produces gradients that are
 again differentiable.  That is what the second-order meta-update relies on.
 
 Ownership: a :class:`Tensor` is a value, an array plus its ``node`` (None for
-a constant).  A node holds its parents' nodes, its vjp, its tape and its
-output shape, never an array, so a recorded value lives only as long as its
-holders or a vjp that reads it.  Each vjp keeps only what it reads: ``add``,
-``sub``, ``transpose``, ``reshape``, ``sum_``, ``take_rows``,
-``scatter_rows`` and ``max_over_points`` keep shapes, indices and argmaxes;
-``mul`` and ``matmul`` keep an operand only when the other one needs a
-gradient; ``relu`` and ``exp`` keep their output; ``log`` and ``div`` keep
-their inputs.  ``add``, ``sub``, ``mul`` and ``matmul`` give a constant
-operand no gradient.  ``relu``'s mask and the max-pool routing are built
-when the vjp runs, as 1-byte bool arrays: a float times a bool has the bits
-of a float times 1.0 or 0.0.  A ``backward`` without ``create_graph`` is a
-tape's last sweep: it drops each vjp as it passes it, and the tape refuses
-a further sweep.
+a constant).  A node holds its parents' nodes, its vjp and its tape, never
+an array, so a recorded value lives only as long as its holders or a vjp
+that reads it.  Each vjp keeps only what it reads: ``add``, ``sub``,
+``transpose``, ``reshape``, ``sum_``, ``take_rows`` and ``scatter_rows``
+keep shapes and indices; ``mul`` and ``matmul`` keep an operand only when
+the other one needs a gradient; ``relu`` and ``exp`` keep their output;
+``log`` and ``div`` keep their inputs.  ``add``, ``sub``, ``mul`` and
+``matmul`` give a constant operand no gradient.  ``relu``'s mask is built
+when the vjp runs, as a 1-byte bool array: a float times a bool has the
+bits of a float times 1.0 or 0.0.  A ``backward`` without ``create_graph``
+is a tape's last sweep: it drops each vjp as it passes it, and the tape
+refuses a further sweep.
 
 Tapes are single-writer: build one tape per task evaluation and do not share
 it across threads.  Parameter stores are plain read-only data and may be
@@ -85,17 +87,16 @@ class Node:
     """One recorded operation, or a leaf that collects a gradient.
 
     Holds its parents' nodes (None for a constant parent), the vjp that maps
-    the output gradient to per-parent gradients, its tape and its output
-    shape; never the output array.
+    the output gradient to per-parent gradients and its tape; never the
+    output array.
     """
 
-    __slots__ = ("parents", "vjp", "tape", "shape")
+    __slots__ = ("parents", "vjp", "tape")
 
-    def __init__(self, parents: tuple, vjp: Callable | None, tape: Tape | None, shape: tuple[int, ...]):
+    def __init__(self, parents: tuple, vjp: Callable | None, tape: Tape | None):
         self.parents = parents
         self.vjp = vjp
         self.tape = tape
-        self.shape = shape
 
 
 class Tensor:
@@ -110,7 +111,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
-        self.node = Node((), None, None, self.data.shape) if requires_grad else None
+        self.node = Node((), None, None) if requires_grad else None
 
     @property
     def requires_grad(self) -> bool:
@@ -167,7 +168,7 @@ def _record(data, parents: tuple, vjp: Callable) -> Tensor:
     out = Tensor(data)
     tape = active_tape()
     if tape is not None and any(parents):
-        out.node = Node(parents, vjp, tape, out.data.shape)
+        out.node = Node(parents, vjp, tape)
         tape.nodes.append(out.node)
     return out
 
@@ -214,7 +215,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _lift_pair(a, b)
     a_shape, b_shape = a.data.shape, b.data.shape
-    # a constant factor (a mask, the routing, one-hot labels) gets no gradient,
+    # a constant factor (a mask, one-hot labels) gets no gradient,
     # so the other factor is kept only when this one needs it
     a_factor = b if a.node is not None else None
     b_factor = a if b.node is not None else None
@@ -323,28 +324,6 @@ def relu(a) -> Tensor:
     return _record(data, (a.node,), vjp)
 
 
-def max_over_points(a) -> Tensor:
-    """Per-feature maximum over the point axis of a [P, F] tensor, as an [F] tensor.
-
-    The gradient of each feature flows only to its argmax point; ties break
-    toward the lowest point index (numpy argmax convention).  Keeps only the
-    [F] argmax; the vjp builds the [P, F] routing from it when it runs, as a
-    bool array like ``relu``'s mask.
-    """
-    a = _lift(a)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise DimensionError(f"max_over_points: need a non-empty [P, F] input, got {a.shape}")
-    argmax, columns = np.argmax(a.data, axis=0), np.arange(a.shape[1])
-    a_shape = a.data.shape
-
-    def vjp(g):
-        routing = np.zeros(a_shape, dtype=bool)
-        routing[argmax, columns] = True
-        return (mul(Tensor(routing), reshape(g, (1, a_shape[1]))),)
-
-    return _record(a.data[argmax, columns], (a.node,), vjp)
-
-
 def take_rows(a, rows) -> Tensor:
     """Rows ``rows`` of ``a``: a slice, or an index array without repeats."""
     a = _lift(a)
@@ -369,7 +348,22 @@ def scatter_rows(a, rows, n_rows: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# composite losses
+# composites
+
+
+def max_over_points(a) -> Tensor:
+    """Per-feature maximum over the point axis of a [P, F] tensor, as a [1, F] row.
+
+    One ``take_rows`` of the flattened input at each column's first maximum
+    (numpy's argmax, so ties go to the lowest point index): the gradient of a
+    feature reaches only that entry, through take_rows' adjoint.
+    """
+    a = _lift(a)
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise DimensionError(f"max_over_points: need a non-empty [P, F] input, got {a.shape}")
+    n_points, n_features = a.shape
+    rows = np.argmax(a.data, axis=0) * n_features + np.arange(n_features)
+    return transpose(take_rows(reshape(a, (n_points * n_features, 1)), rows))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

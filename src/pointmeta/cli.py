@@ -35,6 +35,7 @@ from .data import (
     load_vocab,
     partition_blocks,
     featurize_block,
+    read_text,
     resample_block,
     export_ply,
     write_dataset,
@@ -92,8 +93,7 @@ def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs:
 
 def _load_json(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(read_text(path))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -294,8 +294,7 @@ def cmd_pretrain(args) -> int:
     wanted = _field(cfg, "data.areas", _list_of(str), ())
     # every swept beta is range-checked before the first run trains
     sweep = [replace(meta, beta=beta) for beta in _field(cfg, "meta.beta_sweep", _list_of(float), ())]
-    areas, vocab = load_dataset(root)
-    areas = _select_areas(areas, wanted, "run config data.areas", root)
+    areas, vocab = load_dataset(root, wanted)
     out = Path(args.out)
     if sweep:
         for swept in sweep:
@@ -311,14 +310,6 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _select_areas(areas, wanted, source: str, root) -> list:
-    """The areas named in ``wanted`` (all when it is empty), in dataset order; a repeat is harmless."""
-    unknown = sorted(set(wanted) - {a.name for a in areas})
-    if unknown:
-        raise ConfigError(f"{source} names areas not in {root}: {unknown}; it has {[a.name for a in areas]}")
-    return [a for a in areas if a.name in wanted] if wanted else areas
-
-
 def _prefixed_tree(root) -> dict[str, str]:
     return {f"{root}/{rel}": digest for rel, digest in _fingerprint_tree(root).items()}
 
@@ -329,9 +320,7 @@ def _prefixed_tree(root) -> dict[str, str]:
 
 def cmd_adapt_eval(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
-    areas, vocab = load_dataset(args.data)
-    if args.areas:
-        areas = _select_areas(areas, args.areas.split(","), "--areas", args.data)
+    areas, vocab = load_dataset(args.data, args.areas.split(",") if args.areas else ())
     if len(vocab) != model.num_classes:
         raise ConfigError(f"vocabulary size {len(vocab)} != checkpoint classes {model.num_classes}")
     spec = EpisodeSpec(ways=args.ways, shots=args.shots, query_multiplier=args.queries)

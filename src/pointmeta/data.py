@@ -133,7 +133,7 @@ def write_vocab(classes, path) -> None:
             fh.write(f"{i} {name}\n")
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
     """The whole UTF-8 file, its CR LF and CR line ends read as LF."""
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -153,7 +153,7 @@ def _text_lines(text) -> list[str]:
 
 def load_vocab(path) -> tuple[str, ...]:
     classes = {}
-    for lineno, line in enumerate(_text_lines(_read_text(path)), start=1):
+    for lineno, line in enumerate(_text_lines(read_text(path)), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -209,7 +209,7 @@ def load_room(path, vocab) -> Room:
     room_type, _, index = path.stem.rpartition("_")
     if not room_type or not index.isdecimal():
         raise ValidationError(f"{path}: room file name {path.stem!r} is not of the form <room_type>_<index>")
-    lines = _text_lines(_read_text(path))
+    lines = _text_lines(read_text(path))
     table = _parse_points(lines)
     if table is not None:
         try:
@@ -292,11 +292,15 @@ def write_area(area: Area, directory) -> None:
         write_room(room, directory / f"{room.name}.txt")
 
 
-def load_dataset(root) -> tuple[list[Area], tuple[str, ...]]:
-    """Load every area directory under ``root`` plus the shared vocab.txt."""
+def load_dataset(root, names=()) -> tuple[list[Area], tuple[str, ...]]:
+    """The shared vocab.txt and, in name order, the areas under ``root`` named in ``names`` (all when empty); no other is read."""
     root = Path(root)
     vocab = load_vocab(root / "vocab.txt")
-    areas = [load_area(p, vocab) for p in sorted(root.iterdir()) if p.is_dir()]
+    present = sorted(p.name for p in root.iterdir() if p.is_dir())
+    unknown = sorted(set(names) - set(present))
+    if unknown:
+        raise ConfigError(f"{root} has no areas {unknown}; it has {present}")
+    areas = [load_area(root / name, vocab) for name in present if not names or name in names]
     if not areas:
         raise ValidationError(f"{root}: no area directories found")
     return areas, vocab

@@ -132,15 +132,15 @@ def _dense_chain(tensors, prefix: str, n_layers: int, *parts) -> Tensor:
 
 
 def _pooled_chain(tensors, prefix: str, n_layers: int, x: Tensor) -> Tensor:
-    """``max_over_points`` of a ``_dense_chain`` of last width F, recorded on at most F rows.
+    """``max_over_points`` of a ``_dense_chain`` of last width F, a [1, F] row, recorded on at most F rows.
 
     With P > F while a tape records, an unrecorded pass marks each column's first
     maximum and pads the set with the lowest other rows to exactly F (fixed shapes);
-    the pool's values, argmax and gradients stay the same, as the rows left out get
-    none from it.  That pass is numpy in place, its products through the counted
-    ``matmul``; the last one is ``W.T @ h.T``, so each column of the chain is a
-    contiguous row to take the first maximum of.  With no tape recording, the
-    chain runs once on all P rows.
+    the pool's values, first maxima and gradients stay the same, as the rows left
+    out get none from its gather.  That pass is numpy in place, its products
+    through the counted ``matmul``; the last one is ``W.T @ h.T``, so each column
+    of the chain is a contiguous row to take the first maximum of.  With no tape
+    recording, the chain runs once on all P rows.
     """
     width = tensors[f"{prefix}.{n_layers - 1}.b"].shape[0]
     if x.shape[0] > width and active_tape() is not None:
@@ -170,7 +170,7 @@ def tnet_transform(config: PointNetConfig, params, xyz) -> Tensor:
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise DimensionError(f"tnet_transform expects [P, 3] coordinates, got {xyz.shape}")
     pooled = _pooled_chain(tensors, "tnet.mlp", len(TNET_MLP_WIDTHS), xyz)
-    h = _dense_chain(tensors, "tnet.fc", len(TNET_FC_WIDTHS), reshape(pooled, (1, pooled.shape[0])))
+    h = _dense_chain(tensors, "tnet.fc", len(TNET_FC_WIDTHS), pooled)
     matrix = reshape(matmul(h, tensors["tnet.out.w"]) + tensors["tnet.out.b"], (3, 3))
     return matmul(xyz, matrix)
 
@@ -179,7 +179,8 @@ def forward(config: PointNetConfig, params, features, return_pooled: bool = Fals
     """Per-point class logits for one [P, INPUT_DIM] numpy feature block.
 
     ``params`` may be a ParamStore or a name->Tensor mapping (as used inside
-    adaptation, where parameters are themselves graph nodes).
+    adaptation, where parameters are themselves graph nodes).  With
+    ``return_pooled``, the [1, F] global feature comes back as well.
     """
     tensors = _as_tensors(params)
     x = np.asarray(features)
@@ -202,7 +203,7 @@ def forward(config: PointNetConfig, params, features, return_pooled: bool = Fals
         inputs = (Tensor(x),)
     local = _dense_chain(tensors, "mlp1", len(config.mlp1_widths), *inputs)
     pooled = _pooled_chain(tensors, "mlp2", len(config.mlp2_widths), local)
-    h = _dense_chain(tensors, "head", len(config.seg_head_widths), local, reshape(pooled, (1, pooled.shape[0])))
+    h = _dense_chain(tensors, "head", len(config.seg_head_widths), local, pooled)
     logits = take_rows(matmul(h, tensors["out.w"]) + tensors["out.b"], np.argsort(order))
     return (logits, pooled) if return_pooled else logits
 

@@ -110,13 +110,9 @@ def mean_loss(values, count: int | None = None) -> Tensor:
 
 def inner_adapt(theta: ParamStore, task, beta: float, steps: int = 1) -> ParamStore:
     """Adapt theta on the task's support set; theta itself is untouched."""
-    phi = theta
+    phi, support = theta, task.support_terms
     for _ in range(steps):
-        with Tape() as tape:
-            tensors = phi.tensors()
-            loss = mean_loss([term(tensors) for term in task.support_terms])
-            grads = backward(loss, tape, tensors)
-        phi = sgd_step(phi, grads, beta)
+        phi = sgd_step(phi, _leaf_gradient(phi, support, len(support))[0], beta)
     return phi if phi is not theta else theta.copy()
 
 

@@ -95,14 +95,14 @@ def pooled_and_routing(x):
 
 def test_max_over_points_values_and_argmax():
     pooled, routing = pooled_and_routing([[1.0, 5.0], [3.0, 2.0]])
-    assert np.array_equal(pooled.data, [3.0, 5.0])
+    assert np.array_equal(pooled.data, [[3.0, 5.0]])
     assert np.array_equal(np.argmax(routing, axis=0), [1, 0])
     assert np.array_equal(routing.sum(axis=0), [1.0, 1.0])
 
 
 def test_max_over_points_single_point():
     pooled, routing = pooled_and_routing([[4.0, 4.0]])
-    assert np.array_equal(pooled.data, [4.0, 4.0])
+    assert np.array_equal(pooled.data, [[4.0, 4.0]])
     assert np.array_equal(routing, [[1.0, 1.0]])
 
 

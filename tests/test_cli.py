@@ -7,14 +7,13 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pointmeta.cli import _select_areas, main
+from pointmeta.cli import main
 from pointmeta.data import DEFAULT_CLASSES
 from pointmeta.model import load_checkpoint
 
@@ -219,6 +218,45 @@ def test_ingest_non_utf8_usage_error(dataset, tmp_path, capsys, target):
     assert f"{broken}: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "pretrain", "cross-validate", "export-ply"])
+def test_json_input_not_utf8_usage_error(dataset, pretrained, tmp_path, capsys, command):
+    # JSON inputs are decoded as room and vocab files are, so bad bytes exit 2 naming the file
+    broken, out = tmp_path / "input.json", tmp_path / "out"
+    broken.write_bytes(b'{"density": 40}\xff')
+    room = next((dataset / "AreaB").glob("office_*.txt"))
+    argv = {
+        "synth": ["--spec", str(broken)],
+        "pretrain": ["--config", str(broken)],
+        "cross-validate": ["--config", str(broken)],
+        "export-ply": ["--checkpoint", str(pretrained / "ckpt_epoch2"), "--room", str(room),
+                       "--vocab", str(dataset / "vocab.txt"), "--palette", str(broken)],
+    }[command]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert f"{broken}: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_commands_read_only_the_areas_they_name(dataset, pretrained, tmp_path, capsys):
+    # a malformed line in an area no run names stops only ingest, which reads every area
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    shutil.copytree(copy / "AreaA", copy / "AreaC")
+    broken = copy / "AreaC" / "office_1.txt"
+    lines = broken.read_text().splitlines(keepends=True)
+    lines[2] = "1 2 3 x y z 0\n"
+    broken.write_text("".join(lines))
+    cfg = json.loads(json.dumps(RUN_CONFIG))  # data.areas names AreaA only
+    cfg["data"]["root"] = str(copy)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "train")]) == 0
+    assert main(["adapt-eval", "--checkpoint", str(pretrained / "ckpt_epoch2"), "--data", str(copy), "--areas", "AreaA",
+                 "--shots", "2", "--episodes", "1", "--out", str(tmp_path / "eval")]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--data", str(copy)]) == 2
+    assert f"{broken}:3: expected" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("superscript_in", ["vocab", "room_name"])
 def test_ingest_superscript_digit_usage_error(dataset, tmp_path, capsys, superscript_in):
     # "\u00b2" passes str.isdigit but not int(), which used to escape as a ValueError
@@ -358,12 +396,6 @@ def test_negative_seed_usage_error(argv, capsys):
         main([*argv, "--seed", "-1"])
     assert info.value.code == 2
     assert "--seed" in capsys.readouterr().err
-
-
-def test_select_areas_keeps_dataset_order_and_ignores_repeats():
-    areas = [SimpleNamespace(name=n) for n in ("AreaA", "AreaB", "AreaC")]
-    assert _select_areas(areas, ("AreaC", "AreaA", "AreaC"), "data.areas", "root") == [areas[0], areas[2]]
-    assert _select_areas(areas, (), "data.areas", "root") == areas
 
 
 def test_pretrain_divergence_exit_code(dataset, tmp_path):

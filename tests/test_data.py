@@ -12,6 +12,7 @@ from pointmeta import data as data_module
 from pointmeta.data import (
     DEFAULT_CLASSES,
     DEFAULT_PALETTE,
+    Area,
     Block,
     Room,
     SyntheticAreaSpec,
@@ -19,14 +20,16 @@ from pointmeta.data import (
     export_ply,
     featurize_block,
     generate_synthetic_area,
+    load_dataset,
     load_room,
     load_vocab,
     partition_blocks,
     resample_block,
+    write_dataset,
     write_room,
     write_vocab,
 )
-from pointmeta.errors import ValidationError
+from pointmeta.errors import ConfigError, ValidationError
 
 
 def make_room(xyz, labels=None, rgb=None, name="office_1"):
@@ -455,6 +458,28 @@ def test_load_room_file_name_needs_a_decimal_index(tmp_path, stem):
     path.write_text(f"{GOOD_LINE}\n")
     with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: room file name .* is not of the form <room_type>_<index>$"):
         load_room(path, DEFAULT_CLASSES)
+
+
+def test_load_dataset_reads_the_named_areas_in_name_order_and_ignores_repeats(tmp_path, monkeypatch):
+    room = make_room([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    areas = [Area(name=n, rooms=[room], classes=DEFAULT_CLASSES) for n in ("AreaA", "AreaB", "AreaC")]
+    write_dataset(areas, DEFAULT_CLASSES, tmp_path)
+    read, load_area = [], data_module.load_area
+
+    def recorded(directory, vocab):
+        read.append(Path(directory).name)
+        return load_area(directory, vocab)
+
+    monkeypatch.setattr(data_module, "load_area", recorded)
+    loaded, vocab = load_dataset(tmp_path, ("AreaC", "AreaA", "AreaC"))
+    assert [a.name for a in loaded] == read == ["AreaA", "AreaC"] and vocab == DEFAULT_CLASSES
+    del read[:]
+    assert [a.name for a in load_dataset(tmp_path)[0]] == read == ["AreaA", "AreaB", "AreaC"]
+    del read[:]
+    message = f"{tmp_path} has no areas ['Nope']; it has ['AreaA', 'AreaB', 'AreaC']"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_dataset(tmp_path, ("AreaB", "Nope"))
+    assert read == []
 
 
 def test_partition_grid_counts():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import num_params, num_values
+from pointmeta import autodiff as autodiff_module
 from pointmeta import model as model_module
 from pointmeta.autodiff import ParamStore, Tape, Tensor, backward, cross_entropy, finite_diff_gradient, grad_array, sum_
 from pointmeta.errors import ConfigError, DimensionError
@@ -162,7 +163,7 @@ def test_pool_keeps_each_columns_first_maximum_padded_with_the_lowest_rows(monke
     want = np.isin(np.arange(points), np.argmax(deep, axis=0))
     want[np.flatnonzero(~want)[: width - np.count_nonzero(want)]] = True
     assert len(gathered) == 1 and np.array_equal(gathered[0], np.flatnonzero(want))
-    assert np.array_equal(pooled.data, deep.max(axis=0))
+    assert np.array_equal(pooled.data, deep.max(axis=0, keepdims=True))
 
 
 def test_forward_matches_concatenated_head_reference():
@@ -273,27 +274,47 @@ def test_forward_gradient_with_tnet_matches_finite_differences():
             assert (np.abs(ad - fd[name]) / scale).max() <= 1e-6, (points, name)
 
 
-def test_tape_shapes_fixed_past_pool_width():
+def test_tape_shapes_fixed_past_pool_width(monkeypatch):
     # two 100-point blocks whose mlp2 pools peak on different numbers of
-    # distinct rows record the same node shapes, forward and double backward:
-    # the pool records exactly its width of 32 rows either way
+    # distinct rows run the same matmul shapes and gather the same numbers of
+    # rows, forward and double backward: the pool records exactly its width
+    # of 32 rows either way
     rng = np.random.default_rng(8)
     params = init_params(MINI, seed=2)
     blocks = [rng.normal(size=(100, 9)).astype(np.float32) for _ in range(2)]
     labels = rng.integers(0, 3, size=100)
+    matmul, take_rows = autodiff_module.matmul, autodiff_module.take_rows
 
     def recorded_shapes(block):
-        with Tape() as tape:
-            tt = params.tensors()
-            backward(cross_entropy(forward(MINI, tt, block), labels), tape, tt, create_graph=True)
-            return [node.shape for node in tape.nodes]
+        shapes = []
+
+        def shaped_matmul(a, b):
+            shapes.append(("matmul", a.shape, b.shape))
+            return matmul(a, b)
+
+        def counted_take_rows(a, rows):
+            out = take_rows(a, rows)
+            shapes.append(("take_rows", out.shape[0]))  # the length of the index
+            return out
+
+        with monkeypatch.context() as patched:
+            for owner in (model_module, autodiff_module):
+                patched.setattr(owner, "matmul", shaped_matmul)
+                patched.setattr(owner, "take_rows", counted_take_rows)
+            with Tape() as tape:
+                tt = params.tensors()
+                grads = backward(cross_entropy(forward(MINI, tt, block), labels), tape, tt, create_graph=True)
+                backward(sum_(grads["mlp2.0.w"]), tape, tt)
+        return shapes
 
     def peak_rows(block):
         deep = _chain(params, "mlp2", len(MINI.mlp2_widths), _chain(params, "mlp1", len(MINI.mlp1_widths), block))
         return np.unique(np.argmax(deep, axis=0)).size
 
     assert peak_rows(blocks[0]) != peak_rows(blocks[1])
-    assert recorded_shapes(blocks[0]) == recorded_shapes(blocks[1])
+    shapes = recorded_shapes(blocks[0])
+    assert ("take_rows", 32) in shapes and ("take_rows", 100) in shapes
+    assert shapes == recorded_shapes(blocks[1])
 
 
 def test_config_validation():

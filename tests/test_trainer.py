@@ -192,7 +192,7 @@ def test_meta_gradient_second_order_matches_finite_differences(steps, monkeypatc
     # meta-gradient against central differences of the adapted query loss.
     # Each checked parameter's meta-gradient runs through the whole network's
     # Hessian-vector product, so a subset of tensors exercises every vjp under
-    # create_graph: relu masks, max-pool routing and transposed views.  At 48
+    # create_graph: relu masks, the pool's gather and transposed views.  At 48
     # points, past the mlp2 width of 32, the pool records only gathered rows.
     theta = init_params(GRADCHECK_MODEL, seed=1, dtype=np.float64)
     beta, names = 0.5, ("mlp1.0.w", "mlp2.2.b", "head.1.w", "out.b")
