@@ -12,7 +12,6 @@ produce bit-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -29,6 +28,7 @@ from .data import (
     DEFAULT_PALETTE,
     SyntheticAreaSpec,
     count_blocks,
+    csv_text,
     generate_synthetic_area,
     load_dataset,
     load_room,
@@ -39,6 +39,7 @@ from .data import (
     resample_block,
     export_ply,
     write_dataset,
+    write_file,
 )
 from .errors import CapacityError, ConfigError, DivergenceError, ValidationError
 from .metrics import metrics_report
@@ -88,7 +89,7 @@ def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs:
     }
     if dtype is not None:
         manifest["dtype"] = str(np.dtype(dtype))
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_json(path):
@@ -111,9 +112,9 @@ def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
     if not areas:
         raise ConfigError(f"{source}: needs a non-empty 'areas' list")
     shared = dict(
-        density=_field(spec, "density", float, 110.0, source),
-        color_noise=_field(spec, "color_noise", float, 6.0, source),
-        room_tint=_field(spec, "room_tint", float, 14.0, source),
+        density=_field(spec, "density", number, 110.0, source),
+        color_noise=_field(spec, "color_noise", number, 6.0, source),
+        room_tint=_field(spec, "room_tint", number, 14.0, source),
         classes=_field(spec, "classes", _list_of(str), DEFAULT_CLASSES, source),
     )
     names = [_field(entry, "name", str, source=source) for entry in areas]
@@ -124,7 +125,7 @@ def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
     out = []
     for name, entry in zip(names, areas):
         rooms = _field(entry, "rooms", dict, source=source)
-        counts = tuple((t, _field(entry, f"rooms.{t}", int, source=source)) for t in rooms)
+        counts = tuple((t, _field(entry, f"rooms.{t}", integer, source=source)) for t in rooms)
         try:
             out.append(SyntheticAreaSpec(name=name, rooms=counts, **shared))
         except ConfigError as exc:
@@ -211,10 +212,23 @@ def _rgb(value) -> tuple[int, int, int]:
 _rgb.__name__ = "three integers in 0..255"
 
 
-def non_negative_int(value) -> int:  # the type of every seed: numpy rejects negative ones
-    if int(value) < 0:
-        raise ValueError(f"expected a non-negative integer, got {value!r}")
+def integer(value) -> int:
+    # int() alone reads true as 1 and 6.5 as 6; a string (argparse's --seed) still goes through int()
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def number(value) -> float:
+    if isinstance(value, bool):  # float() reads true as 1.0
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def non_negative_int(value) -> int:  # the type of every seed: numpy rejects negative ones
+    if (parsed := integer(value)) < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return parsed
 
 
 def boolean(value) -> bool:
@@ -229,29 +243,29 @@ def _parse_run_config(cfg: dict):
     if not isinstance(cfg, dict):
         raise ConfigError("run config must be a JSON object")
     spec = EpisodeSpec(
-        ways=_field(cfg, "episode.ways", int, 2),
-        shots=_field(cfg, "episode.shots", int, 6),
-        query_multiplier=_field(cfg, "episode.queries", int, 1),
+        ways=_field(cfg, "episode.ways", integer, 2),
+        shots=_field(cfg, "episode.shots", integer, 6),
+        query_multiplier=_field(cfg, "episode.queries", integer, 1),
         category_mode=_field(cfg, "episode.category_mode", str, "room_type"),
     )
     meta = MetaConfig(
-        alpha=_field(cfg, "meta.alpha", float, 1e-3),
-        beta=_field(cfg, "meta.beta", float, 1e-3),
-        inner_steps=_field(cfg, "meta.inner_steps", int, 1),
-        tasks_per_batch=_field(cfg, "meta.tasks_per_batch", int, 1),
+        alpha=_field(cfg, "meta.alpha", number, 1e-3),
+        beta=_field(cfg, "meta.beta", number, 1e-3),
+        inner_steps=_field(cfg, "meta.inner_steps", integer, 1),
+        tasks_per_batch=_field(cfg, "meta.tasks_per_batch", integer, 1),
         gradient_mode=_field(cfg, "meta.gradient_mode", str, "first_order"),
-        epochs=_field(cfg, "meta.epochs", int, 1),
-        steps_per_epoch=_field(cfg, "meta.steps_per_epoch", int, 0),
-        phase_betas=_field(cfg, "meta.phase_betas", _list_of(float), ()) or None,
+        epochs=_field(cfg, "meta.epochs", integer, 1),
+        steps_per_epoch=_field(cfg, "meta.steps_per_epoch", integer, 0),
+        phase_betas=_field(cfg, "meta.phase_betas", _list_of(number), ()) or None,
     )
     if "collaborative" in cfg.get("meta", {}):
         raise ConfigError("run config meta.collaborative is no longer read; set meta.tasks_per_batch instead")
     model_kwargs = dict(
-        mlp1_widths=_field(cfg, "model.mlp1_widths", _list_of(int), (64, 64)),
-        mlp2_widths=_field(cfg, "model.mlp2_widths", _list_of(int), (64, 128, 256)),
-        seg_head_widths=_field(cfg, "model.seg_head_widths", _list_of(int), (128, 64)),
+        mlp1_widths=_field(cfg, "model.mlp1_widths", _list_of(integer), (64, 64)),
+        mlp2_widths=_field(cfg, "model.mlp2_widths", _list_of(integer), (64, 128, 256)),
+        seg_head_widths=_field(cfg, "model.seg_head_widths", _list_of(integer), (128, 64)),
         use_tnet=_field(cfg, "model.use_tnet", boolean, False),
-        points_per_block=_field(cfg, "data.points_per_block", int, 1024),
+        points_per_block=_field(cfg, "data.points_per_block", integer, 1024),
     )
     if cfg.get("model", {}).get("input_dim", INPUT_DIM) != INPUT_DIM:
         raise ConfigError(f"run config model.input_dim is no longer read; featurized blocks always have {INPUT_DIM} columns")
@@ -260,11 +274,8 @@ def _parse_run_config(cfg: dict):
 
 
 def write_loss_csv(history, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "query_loss", "beta", "alpha"])
-        for step, loss, beta, alpha in history:
-            writer.writerow([step, repr(float(loss)), repr(float(beta)), repr(float(alpha))])
+    rows = [[step, repr(float(loss)), repr(float(beta)), repr(float(alpha))] for step, loss, beta, alpha in history]
+    write_file(path, csv_text([["step", "query_loss", "beta", "alpha"], *rows]))
 
 
 def _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out: Path):
@@ -293,7 +304,7 @@ def cmd_pretrain(args) -> int:
         seeds = {**seeds, "init": args.seed}
     wanted = _field(cfg, "data.areas", _list_of(str), ())
     # every swept beta is range-checked before the first run trains
-    sweep = [replace(meta, beta=beta) for beta in _field(cfg, "meta.beta_sweep", _list_of(float), ())]
+    sweep = [replace(meta, beta=beta) for beta in _field(cfg, "meta.beta_sweep", _list_of(number), ())]
     areas, vocab = load_dataset(root, wanted)
     out = Path(args.out)
     if sweep:
@@ -337,12 +348,9 @@ def cmd_adapt_eval(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(metrics_report(report.cm, report.overall, vocab), encoding="utf-8")
-    with open(out / "episodes.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["episode", "oacc", "macc", "miou"])
-        for i, m in enumerate(report.per_episode):
-            writer.writerow([i, repr(m.oacc), repr(m.macc), repr(m.miou)])
+    write_file(out / "metrics.csv", csv_text(metrics_report(report.counts, report.overall, vocab)))
+    rows = [[i, repr(m.oacc), repr(m.macc), repr(m.miou)] for i, m in enumerate(report.per_episode)]
+    write_file(out / "episodes.csv", csv_text([["episode", "oacc", "macc", "miou"], *rows]))
     summary = (
         f"episodes={args.episodes} oAcc={report.overall.oacc:.4f} "
         f"mAcc={report.overall.macc:.4f} mIoU={report.overall.miou:.4f} "
@@ -371,9 +379,9 @@ def cmd_adapt_eval(args) -> int:
 def cmd_cross_validate(args) -> int:
     cfg = _load_json(args.config)
     root, spec, meta, model_kwargs, seeds = _parse_run_config(cfg)
-    episodes = _field(cfg, "eval.episodes", int, 20)
-    eval_beta = _field(cfg, "eval.beta", float, meta.beta)
-    eval_steps = _field(cfg, "eval.inner_steps", int, meta.inner_steps)
+    episodes = _field(cfg, "eval.episodes", integer, 20)
+    eval_beta = _field(cfg, "eval.beta", number, meta.beta)
+    eval_steps = _field(cfg, "eval.inner_steps", integer, meta.inner_steps)
     eval_seed = _field(cfg, "eval.seed", non_negative_int, 0)
     areas, vocab = load_dataset(root)
     out = Path(args.out)
@@ -393,11 +401,8 @@ def cmd_cross_validate(args) -> int:
             )
             table[target.name][source.name] = repr(report.overall.oacc)
             print(f"pretrain {source.name} -> test {target.name}: oAcc {report.overall.oacc:.4f}")
-    with open(out / "crossval.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["test_area"] + names)
-        for test in names:
-            writer.writerow([test] + [table[test][src] for src in names])
+    rows = [[test] + [table[test][src] for src in names] for test in names]
+    write_file(out / "crossval.csv", csv_text([["test_area"] + names, *rows]))
     write_manifest(out, "cross-validate", cfg, seeds | {"eval": eval_seed}, _prefixed_tree(root))
     return 0
 

@@ -14,6 +14,9 @@ to learn while staying desk-scale.
 
 from __future__ import annotations
 
+import csv
+import io
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -128,9 +131,29 @@ class Area:
 
 
 def write_vocab(classes, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, name in enumerate(classes):
-            fh.write(f"{i} {name}\n")
+    write_file(path, "".join(f"{i} {name}\n" for i, name in enumerate(classes)))
+
+
+def write_file(path, data) -> None:
+    """Write ``data`` (bytes, or str as UTF-8) to ``<path>.tmp``, then rename that over ``path``.
+
+    A killed command leaves the old file or the new one, never part of one; there is no fsync,
+    so a power cut can still lose the write.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def csv_text(rows) -> str:
+    """``rows`` as CSV text with LF line ends, the format of every CSV output."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def read_text(path) -> str:
@@ -274,7 +297,7 @@ def _format_rows(floats, ints) -> bytes:
 
 
 def write_room(room: Room, path) -> None:
-    Path(path).write_bytes(_format_rows(room.xyz, np.column_stack([room.rgb, room.labels])))
+    write_file(path, _format_rows(room.xyz, np.column_stack([room.rgb, room.labels])))
 
 
 def load_area(directory, vocab, name: str | None = None) -> Area:
@@ -283,13 +306,6 @@ def load_area(directory, vocab, name: str | None = None) -> Area:
     if not rooms:
         raise ValidationError(f"{directory}: no room files found")
     return Area(name=name or directory.name, rooms=rooms, classes=tuple(vocab))
-
-
-def write_area(area: Area, directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for room in area.rooms:
-        write_room(room, directory / f"{room.name}.txt")
 
 
 def load_dataset(root, names=()) -> tuple[list[Area], tuple[str, ...]]:
@@ -311,7 +327,9 @@ def write_dataset(areas, classes, root) -> None:
     root.mkdir(parents=True, exist_ok=True)
     write_vocab(classes, root / "vocab.txt")
     for area in areas:
-        write_area(area, root / area.name)
+        (root / area.name).mkdir(exist_ok=True)
+        for room in area.rooms:
+            write_room(room, root / area.name / f"{room.name}.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -574,4 +592,4 @@ def export_ply(block: Block, labels, palette, path) -> None:
         f"ply\nformat ascii 1.0\nelement vertex {len(block)}\nproperty float x\nproperty float y\nproperty float z\n"
         "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n"
     )
-    Path(path).write_bytes(header.encode("ascii") + _format_rows(block.xyz, colors))
+    write_file(path, header.encode("ascii") + _format_rows(block.xyz, colors))

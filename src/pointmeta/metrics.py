@@ -1,5 +1,6 @@
-"""Confusion-matrix accumulation and segmentation quality statistics.
+"""Confusion-count accumulation and segmentation quality statistics.
 
+Counts are an ``[m, m]`` int64 array, ``counts[true class, predicted class]``.
 For class i with n_i ground-truth points, c_i correct predictions and w_i
 points wrongly predicted as i:
 
@@ -14,8 +15,6 @@ predicted contributes an accuracy term of 0.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,50 +22,28 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts[true class, predicted class]; accumulation is functional."""
-
-    counts: np.ndarray
-
-    @staticmethod
-    def zeros(num_classes: int) -> "ConfusionMatrix":
-        return ConfusionMatrix(np.zeros((num_classes, num_classes), dtype=np.int64))
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
-
-    def per_class(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n_i, c_i, w_i) vectors."""
-        n = self.counts.sum(axis=1)
-        c = np.diag(self.counts)
-        w = self.counts.sum(axis=0) - c
-        return n, c, w
-
-
-def accumulate(cm: ConfusionMatrix, predicted, truth) -> ConfusionMatrix:
-    """Score one batch of points; returns a new matrix, the input is untouched."""
+def accumulate(counts: np.ndarray, predicted, truth) -> np.ndarray:
+    """Score one batch of points; returns new counts, the input is untouched."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
         raise ValidationError(f"predicted shape {predicted.shape} != truth shape {truth.shape}")
+    counts = counts.copy()
     if predicted.size == 0:
-        return cm
-    m = cm.num_classes
+        return counts
+    m = counts.shape[0]
     for name, arr in (("predicted", predicted), ("truth", truth)):
         if arr.min() < 0 or arr.max() >= m:
             raise ValidationError(f"{name} labels outside [0, {m})")
-    counts = cm.counts.copy()
     np.add.at(counts, (truth, predicted), 1)
-    return ConfusionMatrix(counts)
+    return counts
+
+
+def _per_class(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_i, c_i, w_i) vectors."""
+    n = counts.sum(axis=1)
+    c = np.diag(counts)
+    return n, c, counts.sum(axis=0) - c
 
 
 @dataclass(frozen=True)
@@ -79,10 +56,10 @@ class SegMetrics:
     excluded: tuple[int, ...]
 
 
-def compute_metrics(cm: ConfusionMatrix) -> SegMetrics:
-    if cm.total == 0:
+def compute_metrics(counts: np.ndarray) -> SegMetrics:
+    n, c, w = _per_class(counts)
+    if n.sum() == 0:
         raise ValidationError("cannot compute metrics from an empty confusion matrix")
-    n, c, w = cm.per_class()
     present = np.nonzero(n + w > 0)[0]
     excluded = tuple(int(i) for i in np.nonzero(n + w == 0)[0])
     class_acc, class_iou = {}, {}
@@ -99,18 +76,16 @@ def compute_metrics(cm: ConfusionMatrix) -> SegMetrics:
     )
 
 
-def metrics_report(cm: ConfusionMatrix, metrics: SegMetrics, class_names=None) -> str:
-    """CSV with one row per class and a final overall summary row."""
-    n, c, w = cm.per_class()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["class", "n", "c", "w", "acc", "iou", "oacc", "macc", "miou"])
-    for i in range(cm.num_classes):
+def metrics_report(counts: np.ndarray, metrics: SegMetrics, class_names=None) -> list[list]:
+    """CSV rows: a header, one row per class and a final overall summary row."""
+    n, c, w = _per_class(counts)
+    rows = [["class", "n", "c", "w", "acc", "iou", "oacc", "macc", "miou"]]
+    for i in range(len(counts)):
         name = class_names[i] if class_names else str(i)
         acc = repr(metrics.class_acc[i]) if i in metrics.class_acc else ""
         iou = repr(metrics.class_iou[i]) if i in metrics.class_iou else ""
-        writer.writerow([name, int(n[i]), int(c[i]), int(w[i]), acc, iou, "", "", ""])
-    writer.writerow(
+        rows.append([name, int(n[i]), int(c[i]), int(w[i]), acc, iou, "", "", ""])
+    rows.append(
         ["overall", int(n.sum()), int(c.sum()), int(w.sum()), "", "", repr(metrics.oacc), repr(metrics.macc), repr(metrics.miou)]
     )
-    return buf.getvalue()
+    return rows

@@ -14,12 +14,12 @@ No batch normalization anywhere: every forward is a pure function of
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import ParamStore, Tensor, active_tape, matmul, max_over_points, relu, reshape, take_rows
+from .data import write_file
 from .errors import ConfigError, DimensionError
 
 CHECKPOINT_MAGIC = "PMCKPT"
@@ -231,12 +231,9 @@ def save_checkpoint(path, config: PointNetConfig, params: ParamStore) -> None:
         "params": [{"name": n, "shape": list(a.shape)} for n, a in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {len(blob)}\n".encode("ascii"))
-        fh.write(blob)
-        little = "<f4" if header["dtype"] == "float32" else "<f8"
-        for _, array in params.items():
-            fh.write(np.ascontiguousarray(array, dtype=little).tobytes())
+    little = "<f4" if header["dtype"] == "float32" else "<f8"
+    arrays = [np.ascontiguousarray(array, dtype=little).tobytes() for _, array in params.items()]
+    write_file(path, b"".join([f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {len(blob)}\n".encode("ascii"), blob, *arrays]))
 
 
 def load_checkpoint(path) -> tuple[PointNetConfig, ParamStore]:

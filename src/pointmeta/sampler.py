@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Area, Block, dominant_class, featurize_block, partition_blocks, resample_block
+from .data import Area, Block, dominant_class, featurize_block, partition_blocks, resample_block, write_file
 from .errors import CapacityError, ConfigError
 
 CATEGORY_MODES = ("room_type", "semantic_composition")
@@ -114,6 +113,8 @@ def sample_episode(index: CategoryIndex, spec: EpisodeSpec, rng: np.random.Gener
     Categories with fewer than k + t*k blocks are excluded from the draw
     rather than padded; running out of eligible categories is an error.
     """
+    if spec.category_mode != index.mode:
+        raise ConfigError(f"episode category_mode {spec.category_mode!r} differs from the index's mode {index.mode!r}")
     needed = spec.shots + spec.query_multiplier * spec.shots
     names = sorted(index.categories)
     eligible = [c for c in names if len(index.categories[c]) >= needed]
@@ -187,7 +188,7 @@ def write_episode_manifest(episodes, spec: EpisodeSpec, seed: int, path) -> None
             for i, ep in enumerate(episodes)
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def replay_episode(index: CategoryIndex, manifest_entry: dict) -> Episode:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .autodiff import ParamStore, Tape, Tensor, backward, cross_entropy, grad_array, sgd_step, sum_
 from .errors import ConfigError, DivergenceError
-from .metrics import ConfusionMatrix, SegMetrics, accumulate, compute_metrics
+from .metrics import SegMetrics, accumulate, compute_metrics
 from .model import PointNetConfig, forward, init_params, predict_labels
 from .sampler import Episode, EpisodeSpec, TaskDistribution, index_categories, sample_episode
 
@@ -189,7 +189,7 @@ def meta_step(state: TrainState, tasks, config: MetaConfig) -> TrainState:
     if not all(np.isfinite(g).all() for g in grads.values()):
         raise DivergenceError(state.step, "a meta-gradient became non-finite")
     if state.history and loss > DIVERGENCE_FACTOR * max(state.history[0][1], 1e-12):
-        raise DivergenceError(state.step + 1, f"query loss {loss:.3g} exceeded {DIVERGENCE_FACTOR:g} x initial")
+        raise DivergenceError(state.step, f"query loss {loss:.3g} exceeded {DIVERGENCE_FACTOR:g} x initial")
     theta = sgd_step(state.theta, grads, config.alpha)
     return TrainState(
         theta=theta,
@@ -238,7 +238,7 @@ def pretrain(
 class EvalReport:
     overall: SegMetrics  # micro-averaged across every query block of every episode
     per_episode: list[SegMetrics]
-    cm: ConfusionMatrix
+    counts: np.ndarray  # [m, m] confusion counts, [true class, predicted class]
 
     @property
     def mean_oacc(self) -> float:
@@ -275,16 +275,16 @@ def adapt_and_eval(
         raise ConfigError(f"points_per_block must be >= 1 or None (the model's), got {points_per_block}")
     points = model.points_per_block if points_per_block is None else points_per_block
     index = index_categories(areas, mode=spec.category_mode, points_per_block=points)
-    total_cm = ConfusionMatrix.zeros(model.num_classes)
+    total = np.zeros((model.num_classes, model.num_classes), dtype=np.int64)
     per_episode = []
     for _ in range(episodes):
         episode = sample_episode(index, spec, rng)
         task = SegmentationTask(episode, model)
         phi = inner_adapt(theta, task, beta, inner_steps)
-        episode_cm = ConfusionMatrix.zeros(model.num_classes)
+        counts = np.zeros_like(total)
         for sample in episode.query:
             logits = forward(model, phi, sample.features)
-            episode_cm = accumulate(episode_cm, predict_labels(logits), sample.labels)
-        total_cm = total_cm.merge(episode_cm)
-        per_episode.append(compute_metrics(episode_cm))
-    return EvalReport(overall=compute_metrics(total_cm), per_episode=per_episode, cm=total_cm)
+            counts = accumulate(counts, predict_labels(logits), sample.labels)
+        total += counts
+        per_episode.append(compute_metrics(counts))
+    return EvalReport(overall=compute_metrics(total), per_episode=per_episode, counts=total)

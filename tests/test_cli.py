@@ -116,6 +116,7 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"density": -5}, "density"),
         ({"density": 0}, "density"),
         ({"areas": [{"name": "X", "rooms": {"office": -1}}]}, "rooms.office"),
+        ({"areas": [{"name": "X", "rooms": {"office": 2.5}}]}, "rooms.office"),
         ({"areas": [{"name": "X", "rooms": {"office": 0}}]}, "rooms"),
         ({"classes": []}, "['box', 'ceiling', 'chair', 'floor', 'table', 'wall']"),
         ({"classes": list(DEFAULT_CLASSES[:-1])}, "['box']"),
@@ -130,7 +131,8 @@ def test_synth_bad_spec(tmp_path, capsys):
     ],
     ids=[
         "density", "room_count", "area_entry", "classes", "negative_color_noise", "negative_room_tint",
-        "huge_room_tint", "nan_density", "negative_density", "zero_density", "negative_room_count", "no_rooms",
+        "huge_room_tint", "nan_density", "negative_density", "zero_density", "negative_room_count",
+        "fractional_room_count", "no_rooms",
         "no_classes", "missing_class", "repeated_class", "class_with_space", "empty_area_name", "area_name_path",
         "area_name_parent", "repeated_area_name", "area_named_manifest", "area_named_vocab",
     ],
@@ -303,6 +305,7 @@ def test_ingest_color_outside_one_byte_names_the_line(dataset, tmp_path, capsys,
 def test_pretrain_outputs(pretrained):
     names = {p.name for p in pretrained.iterdir()}
     assert {"ckpt_epoch0", "ckpt_epoch1", "ckpt_epoch2", "loss.csv", "manifest.json"} <= names
+    assert not [name for name in names if name.endswith(".tmp")]  # every file renamed into place
     with open(pretrained / "loss.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "query_loss", "beta", "alpha"]
@@ -357,6 +360,12 @@ def test_pretrain_missing_data_path(tmp_path):
         ("meta", "phase_betas", [1e-3, float("nan")], "phase_betas"),
         ("seeds", "init", -1, "seeds.init"),
         ("seeds", "tasks", -1, "seeds.tasks"),
+        ("episode", "shots", 6.5, "episode.shots"),
+        ("episode", "ways", float("inf"), "episode.ways"),
+        ("meta", "inner_steps", True, "meta.inner_steps"),
+        ("model", "mlp2_widths", [8, 16.5], "model.mlp2_widths"),
+        ("seeds", "init", 0.5, "seeds.init"),
+        ("meta", "alpha", True, "meta.alpha"),
     ],
 )
 def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):
@@ -466,6 +475,7 @@ def test_adapt_eval_and_outputs(dataset, pretrained, tmp_path, capsys):
         mrows = list(csv.reader(fh))
     assert mrows[0][0] == "class"
     assert mrows[-1][0] == "overall"
+    assert sorted(p.name for p in out.iterdir()) == ["episodes.csv", "manifest.json", "metrics.csv"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["dtype"] == "float32" and manifest["runtime"]["numpy"] == np.__version__
 

@@ -26,6 +26,7 @@ from pointmeta.data import (
     partition_blocks,
     resample_block,
     write_dataset,
+    write_file,
     write_room,
     write_vocab,
 )
@@ -401,6 +402,24 @@ def test_load_room_equals_the_line_oracle(tmp_path_factory, lines, bad, last_new
         assert str(info.value) == want
         return
     assert_room_arrays(load_room(path, DEFAULT_CLASSES), want)
+
+
+def test_write_file_replaces_whole_or_not_at_all(tmp_path, monkeypatch):
+    path = tmp_path / "vocab.txt"
+    write_vocab(DEFAULT_CLASSES, path)
+    write_file(path, "0 café\n")
+    assert path.read_bytes() == "0 café\n".encode("utf-8")
+    write_file(path, b"0 wall\n")
+    assert path.read_bytes() == b"0 wall\n"
+
+    def lost(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(data_module.os, "replace", lost)
+    with pytest.raises(OSError, match="rename failed"):
+        write_file(path, "0 floor\n")
+    assert path.read_bytes() == b"0 wall\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 
 def test_write_room_keeps_integers_above_2_53(tmp_path):

@@ -342,6 +342,26 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
             )
 
 
+def test_checkpoint_save_that_fails_keeps_the_old_file(tmp_path):
+    # the last parameter reads once, for the header, then fails while the bytes are gathered
+    path = tmp_path / "ckpt"
+    params = init_params(MINI, seed=7)
+    save_checkpoint(path, MINI, params)
+    before, last, reads = path.read_bytes(), list(params.keys())[-1], []
+
+    class LostMidWrite(ParamStore):
+        def __getitem__(self, name):
+            reads.append(name)
+            if name == last and reads.count(name) > 1:
+                raise OSError("parameter lost")
+            return super().__getitem__(name)
+
+    with pytest.raises(OSError, match="parameter lost"):
+        save_checkpoint(path, MINI, LostMidWrite(init_params(MINI, seed=8)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(b"not a checkpoint\n")

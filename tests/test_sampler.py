@@ -65,6 +65,15 @@ def test_semantic_composition_mode(synth_area):
     assert len(index.categories) >= 2
 
 
+def test_episode_category_mode_must_match_the_index(synth_area):
+    # a room_type spec would otherwise draw the index's semantic categories
+    index = index_categories(synth_area, mode="semantic_composition", points_per_block=32)
+    with pytest.raises(ConfigError, match="'room_type'.*'semantic_composition'"):
+        sample_episode(index, EpisodeSpec(ways=2, shots=1), np.random.default_rng(0))
+    spec = EpisodeSpec(ways=2, shots=1, category_mode="semantic_composition")
+    assert set(sample_episode(index, spec, np.random.default_rng(0)).categories) <= set(DEFAULT_CLASSES)
+
+
 def test_episode_shape_two_way_six_shot(synth_area):
     index = index_categories(synth_area, points_per_block=32)
     spec = EpisodeSpec(ways=2, shots=6, query_multiplier=1)
@@ -161,6 +170,7 @@ def test_manifest_roundtrip(tmp_path, synth_area):
     write_episode_manifest(episodes, spec, seed=5, path=path)
     manifest = json.loads(path.read_text())
     assert len(manifest["episodes"]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["episodes.json"]  # no temp file left
     replayed = replay_episode(index, manifest["episodes"][1])
     for a, b in zip(replayed.support, episodes[1].support):
         assert np.array_equal(a.features, b.features)

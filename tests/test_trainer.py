@@ -369,7 +369,7 @@ def test_meta_step_divergence_error():
 
 def test_meta_step_divergence_factor():
     # the adapted query loss here is 2.25; it is compared with the first recorded loss,
-    # and the error names the step being taken
+    # and the error names the step being taken by its loss.csv index, as a NaN loss does
     config = config_with()
     assert meta_step(TrainState(theta=quad_theta(0.0)), [QuadraticTask(1.0, 2.0)], config).step == 1
     calm = TrainState(theta=quad_theta(0.0), step=3, history=[(0, 1.0, 0.25, 0.1)])
@@ -377,7 +377,11 @@ def test_meta_step_divergence_factor():
     tiny_start = TrainState(theta=quad_theta(0.0), step=3, history=[(0, 1e-4, 0.25, 0.1)])
     with pytest.raises(DivergenceError) as info:
         meta_step(tiny_start, [QuadraticTask(1.0, 2.0)], config)
-    assert info.value.step == 4 and "exceeded" in str(info.value)
+    assert info.value.step == 3 and "step 3: query loss 2.25 exceeded" in str(info.value)
+    blown_up = TrainState(theta=quad_theta(np.inf), step=3, history=[(0, 1.0, 0.25, 0.1)])
+    with pytest.raises(DivergenceError) as info, np.errstate(invalid="ignore"):
+        meta_step(blown_up, [QuadraticTask(1.0, 2.0)], config)
+    assert info.value.step == 3 and "step 3: query loss became nan" in str(info.value)
 
 
 def test_segmentation_task_second_order_runs(small_distribution):
