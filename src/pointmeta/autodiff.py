@@ -2,7 +2,7 @@
 
 Operations compute eagerly with numpy and, while a :class:`Tape` is active,
 record a :class:`Node` in creation order (which is a topological order).
-``backward`` replays the tape in reverse to accumulate gradients.
+``backward`` replays the tape in reverse from seeded outputs to accumulate gradients.
 
 The thirteen primitives, the ops that call ``_record``, are ``add sub mul
 div matmul transpose reshape sum_ exp log relu take_rows scatter_rows``;
@@ -439,11 +439,14 @@ def grad_array(g) -> np.ndarray:
     return g.data if isinstance(g, Tensor) else np.asarray(g)
 
 
-def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: bool = False) -> dict[str, Tensor]:
-    """Gradients of a scalar ``loss`` with respect to the ``wrt`` tensors.
+def backward(loss, tape: Tape, wrt: Mapping[str, Tensor], create_graph: bool = False) -> dict[str, Tensor]:
+    """Gradients of ``loss`` with respect to the ``wrt`` tensors.
 
+    ``loss`` is a scalar tensor, seeded with 1, or a mapping from output
+    tensors to seeds of their shapes, whose vector-Jacobian product the sweep
+    gives: the gradients of the sum of each output times its seed.
     ``wrt`` maps names to tensors that participated in the tape (leaves or
-    intermediates); tensors the loss does not depend on get zero gradients.
+    intermediates); tensors the outputs do not depend on get zero gradients.
     With ``create_graph`` the returned gradients are recorded on the same
     tape and can be differentiated again.  Without it the sweep is the
     tape's last: it drops each node's vjp, and with it the values that vjp
@@ -453,15 +456,18 @@ def backward(loss: Tensor, tape: Tape, wrt: Mapping[str, Tensor], create_graph: 
     drops it as soon as the node has passed it to its parents, and keeps only
     the gradients of the ``wrt`` tensors, which may be intermediates.
     """
-    if loss.data.shape != ():
-        raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
-    if loss.node is None or loss.node.tape is not tape:
-        raise ContractError("loss was not produced on this tape")
+    seeds = loss if isinstance(loss, Mapping) else {loss: np.ones((), dtype=loss.data.dtype)}
+    grads: dict[Node, Tensor] = {}
+    for out, seed in seeds.items():
+        if out.node is None or out.node.tape is not tape:
+            raise ContractError("an output was not recorded on this tape")
+        if np.shape(seed) != out.data.shape:
+            raise ContractError(f"seed shape {np.shape(seed)} != output shape {out.data.shape}")
+        grads[out.node] = Tensor(np.asarray(seed, dtype=out.data.dtype))
     if tape.swept:
         raise ContractError("tape was already swept by a backward without create_graph")
     tape.swept = not create_graph
 
-    grads: dict[Node, Tensor] = {loss.node: Tensor(np.ones((), dtype=loss.data.dtype))}
     kept = {tensor.node for tensor in wrt.values()}
     nodes = list(tape.nodes)
     # record the backward ops on the same tape (create_graph) or, with None

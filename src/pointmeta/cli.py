@@ -108,23 +108,23 @@ def _load_json(path):
 def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
     if not isinstance(spec, dict):
         raise ConfigError(f"{source}: expected a JSON object")
-    areas = _field(spec, "areas", _list_of(dict), source=source)
+    areas = _field(spec, "areas", _list_of(_exactly(dict)), source=source)
     if not areas:
         raise ConfigError(f"{source}: needs a non-empty 'areas' list")
     shared = dict(
         density=_field(spec, "density", number, 110.0, source),
         color_noise=_field(spec, "color_noise", number, 6.0, source),
         room_tint=_field(spec, "room_tint", number, 14.0, source),
-        classes=_field(spec, "classes", _list_of(str), DEFAULT_CLASSES, source),
+        classes=_field(spec, "classes", _list_of(_exactly(str)), DEFAULT_CLASSES, source),
     )
-    names = [_field(entry, "name", str, source=source) for entry in areas]
+    names = [_field(entry, "name", _exactly(str), source=source) for entry in areas]
     if len(set(names)) < len(names):
         raise ConfigError(f"{source} areas: names must be distinct, got {names}")
     if {"vocab.txt", "manifest.json"} & set(names):  # the files synth writes next to the area directories
         raise ConfigError(f"{source} areas: vocab.txt and manifest.json name synth's own outputs, got {names}")
     out = []
     for name, entry in zip(names, areas):
-        rooms = _field(entry, "rooms", dict, source=source)
+        rooms = _field(entry, "rooms", _exactly(dict), source=source)
         counts = tuple((t, _field(entry, f"rooms.{t}", integer, source=source)) for t in rooms)
         try:
             out.append(SyntheticAreaSpec(name=name, rooms=counts, **shared))
@@ -203,6 +203,17 @@ def _list_of(kind):
     return cast
 
 
+def _exactly(kind):
+    # bool("no") is True and str(5) is "5", so a JSON value is taken only as its own type
+    def cast(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    cast.__name__ = kind.__name__
+    return cast
+
+
 def _rgb(value) -> tuple[int, int, int]:
     if not (isinstance(value, list) and len(value) == 3 and all(type(c) is int and 0 <= c <= 255 for c in value)):
         raise ValueError(f"expected three integers in 0..255, got {value!r}")
@@ -231,13 +242,6 @@ def non_negative_int(value) -> int:  # the type of every seed: numpy rejects neg
     return parsed
 
 
-def boolean(value) -> bool:
-    # bool("no") is True, so only JSON true/false are accepted
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _parse_run_config(cfg: dict):
     """Data root, episode spec, meta config, model keyword arguments and seeds."""
     if not isinstance(cfg, dict):
@@ -246,14 +250,14 @@ def _parse_run_config(cfg: dict):
         ways=_field(cfg, "episode.ways", integer, 2),
         shots=_field(cfg, "episode.shots", integer, 6),
         query_multiplier=_field(cfg, "episode.queries", integer, 1),
-        category_mode=_field(cfg, "episode.category_mode", str, "room_type"),
+        category_mode=_field(cfg, "episode.category_mode", _exactly(str), "room_type"),
     )
     meta = MetaConfig(
         alpha=_field(cfg, "meta.alpha", number, 1e-3),
         beta=_field(cfg, "meta.beta", number, 1e-3),
         inner_steps=_field(cfg, "meta.inner_steps", integer, 1),
         tasks_per_batch=_field(cfg, "meta.tasks_per_batch", integer, 1),
-        gradient_mode=_field(cfg, "meta.gradient_mode", str, "first_order"),
+        gradient_mode=_field(cfg, "meta.gradient_mode", _exactly(str), "first_order"),
         epochs=_field(cfg, "meta.epochs", integer, 1),
         steps_per_epoch=_field(cfg, "meta.steps_per_epoch", integer, 0),
         phase_betas=_field(cfg, "meta.phase_betas", _list_of(number), ()) or None,
@@ -264,13 +268,13 @@ def _parse_run_config(cfg: dict):
         mlp1_widths=_field(cfg, "model.mlp1_widths", _list_of(integer), (64, 64)),
         mlp2_widths=_field(cfg, "model.mlp2_widths", _list_of(integer), (64, 128, 256)),
         seg_head_widths=_field(cfg, "model.seg_head_widths", _list_of(integer), (128, 64)),
-        use_tnet=_field(cfg, "model.use_tnet", boolean, False),
+        use_tnet=_field(cfg, "model.use_tnet", _exactly(bool), False),
         points_per_block=_field(cfg, "data.points_per_block", integer, 1024),
     )
     if cfg.get("model", {}).get("input_dim", INPUT_DIM) != INPUT_DIM:
         raise ConfigError(f"run config model.input_dim is no longer read; featurized blocks always have {INPUT_DIM} columns")
     seeds = {key: _field(cfg, f"seeds.{key}", non_negative_int, 0) for key in ("init", "tasks")}
-    return _field(cfg, "data.root", str), spec, meta, model_kwargs, seeds
+    return _field(cfg, "data.root", _exactly(str)), spec, meta, model_kwargs, seeds
 
 
 def write_loss_csv(history, path) -> None:
@@ -302,9 +306,11 @@ def cmd_pretrain(args) -> int:
     root, spec, meta, model_kwargs, seeds = _parse_run_config(cfg)
     if args.seed is not None:
         seeds = {**seeds, "init": args.seed}
-    wanted = _field(cfg, "data.areas", _list_of(str), ())
-    # every swept beta is range-checked before the first run trains
+    wanted = _field(cfg, "data.areas", _list_of(_exactly(str)), ())
+    # every swept beta is range-checked, and given a directory of its own, before the first run trains
     sweep = [replace(meta, beta=beta) for beta in _field(cfg, "meta.beta_sweep", _list_of(number), ())]
+    if len({f"{swept.beta:g}" for swept in sweep}) < len(sweep):
+        raise ConfigError(f"run config meta.beta_sweep: two of {[s.beta for s in sweep]} write one output directory")
     areas, vocab = load_dataset(root, wanted)
     out = Path(args.out)
     if sweep:

@@ -12,14 +12,14 @@ Two gradient modes:
   on theta and takes the query gradient at phi directly.
 * ``second_order`` differentiates through the inner update(s) by keeping
   the inner backward pass on the tape.  The query set then runs one block
-  at a time, each on a tape of its own, and the summed query gradient at
-  phi is pulled back through the support tape, so no more than one query
-  block's graph is alive beside it.
+  at a time, each on a tape of its own, and the support tape is swept once
+  more from phi, seeded with the summed query gradient at phi, so no more
+  than one query block's graph is alive beside it.
 
 A task is two lists of per-block loss terms, ``support_terms`` and
 ``query_terms``, each a function of the parameters to a scalar tensor, so
 the same machinery runs the segmentation network and the closed-form test
-problems; the trainer owns their mean (``mean_loss``).
+problems; a set's loss is their mean, and each term is seeded with 1/(its set's size).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import ParamStore, Tape, Tensor, backward, cross_entropy, grad_array, sgd_step, sum_
+from .autodiff import ParamStore, Tape, backward, cross_entropy, sgd_step
 from .errors import ConfigError, DivergenceError
 from .metrics import SegMetrics, accumulate, compute_metrics
 from .model import PointNetConfig, forward, init_params, predict_labels
@@ -96,18 +96,6 @@ class SegmentationTask:
         return self._terms(self.episode.query)
 
 
-def mean_loss(values, count: int | None = None) -> Tensor:
-    """The block-order sum of per-block loss values times 1/count, by default their mean.
-
-    Scaled by the whole set's count, one block's term seeds its gradient with
-    the same bits as the mean over the set does.
-    """
-    total = None
-    for value in values:
-        total = value if total is None else total + value
-    return total * (1.0 / (len(values) if count is None else count))
-
-
 def inner_adapt(theta: ParamStore, task, beta: float, steps: int = 1) -> ParamStore:
     """Adapt theta on the task's support set; theta itself is untouched."""
     phi, support = theta, task.support_terms
@@ -116,7 +104,7 @@ def inner_adapt(theta: ParamStore, task, beta: float, steps: int = 1) -> ParamSt
     return phi if phi is not theta else theta.copy()
 
 
-def _leaf_gradient(params: ParamStore, terms, count: int) -> tuple[dict[str, np.ndarray], list[Tensor]]:
+def _leaf_gradient(params: ParamStore, terms, count: int) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
     """Gradient of the terms' sum over ``count`` at fresh leaves holding ``params``, and the terms' values.
 
     The terms are recorded on a tape of their own, which is freed on return.
@@ -124,8 +112,8 @@ def _leaf_gradient(params: ParamStore, terms, count: int) -> tuple[dict[str, np.
     with Tape() as tape:
         leaves = params.tensors()
         parts = [term(leaves) for term in terms]
-        grads = backward(mean_loss(parts, count), tape, leaves)
-    return {n: grad_array(g) for n, g in grads.items()}, [Tensor(p.data) for p in parts]
+        grads = backward(dict.fromkeys(parts, np.asarray(1.0 / count, dtype=params.dtype)), tape, leaves)
+    return {n: g.data for n, g in grads.items()}, [p.data for p in parts]
 
 
 def meta_gradient(theta: ParamStore, tasks, config: MetaConfig) -> tuple[dict[str, np.ndarray], float]:
@@ -136,7 +124,7 @@ def meta_gradient(theta: ParamStore, tasks, config: MetaConfig) -> tuple[dict[st
     steps on theta's tape with ``create_graph``, runs the query blocks last
     first on tapes of their own at phi's values (the order in which one sweep
     over the whole set adds their gradients, so the bits are that sweep's),
-    and pulls the sum back through the support tape.
+    and sweeps the support tape from phi seeded with their sum.
     """
     if not tasks:
         raise ConfigError("need at least one task")
@@ -148,22 +136,21 @@ def meta_gradient(theta: ParamStore, tasks, config: MetaConfig) -> tuple[dict[st
             phi = inner_adapt(theta, task, config.beta, config.inner_steps)
             grads, values = _leaf_gradient(phi, query, len(query))
         else:
+            seed = np.asarray(1.0 / len(task.support_terms), dtype=theta.dtype)
             with Tape() as tape:
                 leaves = current = theta.tensors()
                 for _ in range(config.inner_steps):
-                    loss = mean_loss([term(current) for term in task.support_terms])
-                    inner_grads = backward(loss, tape, current, create_graph=True)
-                    current = {n: current[n] - config.beta * inner_grads[n] for n in current}
+                    g = backward({term(current): seed for term in task.support_terms}, tape, current, create_graph=True)
+                    current = {n: current[n] - config.beta * g[n] for n in current}
                 phi = ParamStore({n: t.data for n, t in current.items()})
                 # the query blocks, last first, each on its own tape
                 summed, values = None, [None] * len(query)
                 for b in reversed(range(len(query))):
                     block, (values[b],) = _leaf_gradient(phi, query[b:b + 1], len(query))
                     summed = block if summed is None else {n: summed[n] + block[n] for n in block}
-                # the sum of sum(phi * G), whose gradient at phi is exactly G
-                pull = mean_loss([sum_(current[n] * Tensor(g)) for n, g in summed.items()], count=1)
-                grads = {n: grad_array(g) for n, g in backward(pull, tape, leaves).items()}
-        losses.append(mean_loss(values).item())
+                grads = {n: g.data for n, g in backward({current[n]: summed[n] for n in current}, tape, leaves).items()}
+        # the block-order sum of the values times 1/len, the mean the seeds are shares of
+        losses.append(float(sum(values[1:], values[0]) * np.asarray(1.0 / len(values), dtype=theta.dtype)))
         for name, arr in grads.items():
             total[name] = arr.copy() if name not in total else total[name] + arr
     scale = np.asarray(1.0 / len(tasks), dtype=theta.dtype)

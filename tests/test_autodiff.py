@@ -263,6 +263,49 @@ def test_backward_requires_loss_on_tape():
         backward(loss, tape, {"w": Tensor(p["w"])})
 
 
+def test_backward_seeded_output_on_another_tape_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as other:
+        elsewhere = x * 2.0
+        with Tape() as tape:
+            here = x * 3.0
+            for outputs in ({here: np.ones(3), elsewhere: np.ones(3)}, {x: np.ones(3)}, {Tensor(np.ones(3)): np.ones(3)}):
+                with pytest.raises(ContractError, match="tape"):
+                    backward(outputs, tape, {"x": x})
+            assert backward({here: np.ones(3)}, tape, {"x": x})["x"].data.tolist() == [3.0, 3.0, 3.0]
+
+
+def test_backward_seed_of_wrong_shape_raises():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        y = x * 2.0
+        for seed in (np.ones(3), np.ones((3, 2)), np.ones(()), 1.0):  # broadcastable is not enough
+            with pytest.raises(ContractError, match="seed shape"):
+                backward({y: seed}, tape, {"x": x})
+
+
+def test_backward_seeds_give_the_gradient_of_the_weighted_sum():
+    # outputs a = x e^x ([3, 4]) and b = sum(relu(x), axis=0) ([4]) seeded with
+    # u and v: the gradient u (1 + x) e^x + v (x > 0) of sum(u a) + sum(v b),
+    # with the same bits, and differentiable again: w u (2 + x) e^x
+    rng = np.random.default_rng(5)
+    x0, u, v, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=(3, 4))
+
+    def gradients(seeded):
+        x = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            a, b = mul(x, exp(x)), sum_(relu(x), axis=0)
+            loss = {a: u, b: v} if seeded else add(sum_(mul(a, Tensor(u))), sum_(mul(b, Tensor(v))))
+            g = backward(loss, tape, {"x": x}, create_graph=True)["x"]
+            h = backward(sum_(mul(g, Tensor(w))), tape, {"x": x})["x"]
+        return g.data, h.data
+
+    (g, h), (g_sum, h_sum) = gradients(True), gradients(False)
+    assert np.array_equal(g, g_sum) and np.array_equal(h, h_sum)
+    np.testing.assert_allclose(g, u * (1 + x0) * np.exp(x0) + v * (x0 > 0), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(h, w * u * (2 + x0) * np.exp(x0), rtol=1e-12, atol=1e-12)
+
+
 def test_backward_untouched_parameter_gets_zeros():
     p = ParamStore({"a": np.ones(2), "b": np.ones(3)})
     with Tape() as tape:

@@ -128,13 +128,17 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"areas": [{"name": "A", "rooms": {"office": 1}}, {"name": "A", "rooms": {"hallway": 1}}]}, "distinct"),
         ({"areas": [{"name": "manifest.json", "rooms": {"office": 1}}]}, "'manifest.json'"),
         ({"areas": [{"name": "A", "rooms": {"office": 1}}, {"name": "vocab.txt", "rooms": {"office": 1}}]}, "'vocab.txt'"),
+        ({"areas": [{"name": 5, "rooms": {"office": 1}}]}, "name: cannot read 5 as str"),
+        ({"classes": [*DEFAULT_CLASSES, 1]}, "classes: cannot read"),
+        ({"areas": [[["name", "A"], ["rooms", {"office": 1}]]]}, "areas: cannot read"),
     ],
     ids=[
         "density", "room_count", "area_entry", "classes", "negative_color_noise", "negative_room_tint",
         "huge_room_tint", "nan_density", "negative_density", "zero_density", "negative_room_count",
         "fractional_room_count", "no_rooms",
         "no_classes", "missing_class", "repeated_class", "class_with_space", "empty_area_name", "area_name_path",
-        "area_name_parent", "repeated_area_name", "area_named_manifest", "area_named_vocab",
+        "area_name_parent", "repeated_area_name", "area_named_manifest", "area_named_vocab", "numeric_area_name",
+        "numeric_class", "area_as_key_value_pairs",
     ],
 )
 def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):
@@ -154,13 +158,13 @@ VALID = {
     "name": st.text("AB_. ", min_size=1, max_size=3).filter(lambda name: name not in (".", "..")),
     "rooms": st.dictionaries(st.sampled_from(["office", "hallway", "storage", "pantry", "lounge"]), st.integers(1, 2), min_size=1, max_size=2),
 }
-# the class lists miss template labels, repeat names or hold a space (a few happen to be valid)
+# the class lists miss template labels, repeat names, hold a space or a non-string (a few happen to be valid)
 INVALID = {
     "density": st.sampled_from([0, -5, "abc", float("nan"), float("inf")]),
     "color_noise": st.sampled_from([-1, float("nan"), "x"]),
     "room_tint": st.sampled_from([-1, 256, 1e300, float("nan")]),
-    "classes": st.lists(st.sampled_from([*DEFAULT_CLASSES, "big box", ""]), max_size=8),
-    "name": st.sampled_from(["", ".", "..", "a/b", "A\x00", "manifest.json", "vocab.txt"]),
+    "classes": st.lists(st.sampled_from([*DEFAULT_CLASSES, "big box", "", 1, None]), max_size=8),
+    "name": st.sampled_from(["", ".", "..", "a/b", "A\x00", "manifest.json", "vocab.txt", 5, True, {"A": 1}]),
     "rooms": st.dictionaries(
         st.sampled_from(["office", "throne_room"]), st.one_of(st.integers(-1, 0), st.just("two")), max_size=2
     ),
@@ -182,7 +186,8 @@ def synth_specs(draw):
 @given(synth_specs())
 @settings(max_examples=40, deadline=None)
 def test_synth_spec_contract(spec):
-    # a spec either fails with a usage error naming its file, or writes a dataset that ingest reads back
+    # a spec either fails with a usage error naming its file, or holds only JSON strings for its
+    # names and classes and writes a dataset that ingest reads back
     with tempfile.TemporaryDirectory() as tmp:
         spec_path, out = Path(tmp) / "spec.json", Path(tmp) / "data"
         spec_path.write_text(json.dumps(spec))
@@ -194,6 +199,7 @@ def test_synth_spec_contract(spec):
             if code == 2:
                 assert str(spec_path) in err.getvalue()
             else:
+                assert all(isinstance(name, str) for name in [*spec["classes"], *(a["name"] for a in spec["areas"])])
                 assert main(["ingest", "--data", str(out)]) == 0, err.getvalue()
 
 
@@ -366,6 +372,12 @@ def test_pretrain_missing_data_path(tmp_path):
         ("model", "mlp2_widths", [8, 16.5], "model.mlp2_widths"),
         ("seeds", "init", 0.5, "seeds.init"),
         ("meta", "alpha", True, "meta.alpha"),
+        ("meta", "beta_sweep", [0.001, 0.0010000001], "meta.beta_sweep: two of [0.001, 0.0010000001]"),
+        ("meta", "beta_sweep", [1e-3, 1e-3], "meta.beta_sweep: two of [0.001, 0.001]"),
+        ("data", "root", 5, "data.root"),
+        ("data", "areas", ["AreaA", 1], "data.areas"),
+        ("episode", "category_mode", 5, "episode.category_mode"),
+        ("meta", "gradient_mode", True, "meta.gradient_mode"),
     ],
 )
 def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):

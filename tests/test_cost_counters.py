@@ -21,18 +21,17 @@ COUNTED = ("tape_nodes", "backward_calls", "matmul_calls", "matmul_flop")
 
 # (mode, P) -> the counts of one meta-step.  The matmul work is that of one
 # tape holding the whole query set.  Second order tapes each query block on
-# its own and pulls their summed gradient back through the support tape in
-# one more backward: 14 backward calls where one shared tape took 2, and
-# 1960 tape nodes where it recorded 1936.  The pull-back adds 48 nodes;
-# 24 went when sub stopped recording a gradient for cross_entropy's constant
-# shift (2 per support block); the per-block scales replace the shared
-# sum's 11 adds and 1 scale one for one.  The pool is a composite gather:
-# its reshape, take_rows and transpose replaced a max_over_points node and
-# the reshape of its [F] output, one more node per pool, so 936 -> 960 and
-# 1960 -> 1984 (24 forwards per step)
+# its own and sweeps the support tape once more from phi, seeded with their
+# summed gradient: 14 backward calls where one shared tape took 2.  A set's
+# mean is not recorded: backward seeds each block's loss with 1/(the set's
+# size), so the add chain and scale of a set's mean (12 nodes per set of 12
+# blocks), the per-block scales of the query tapes (12) and the 48-node
+# pull-back loss sum(phi * G) are gone: 960 -> 936 first order, 1984 -> 1912
+# second order.  The pool is a composite gather, a reshape, take_rows and
+# transpose per forward (24 forwards per step)
 EXPECTED = {
-    ("first_order", 32): {"tape_nodes": 960, "backward_calls": 2, "matmul_calls": 624, "matmul_flop": 310_247_424},
-    ("second_order", 1024): {"tape_nodes": 1984, "backward_calls": 14, "matmul_calls": 1296,
+    ("first_order", 32): {"tape_nodes": 936, "backward_calls": 2, "matmul_calls": 624, "matmul_flop": 310_247_424},
+    ("second_order", 1024): {"tape_nodes": 1912, "backward_calls": 14, "matmul_calls": 1296,
                              "matmul_flop": 11_783_897_088},
 }
 

@@ -19,7 +19,6 @@ from pointmeta.trainer import (
     TrainState,
     adapt_and_eval,
     inner_adapt,
-    mean_loss,
     meta_gradient,
     meta_step,
     pretrain,
@@ -45,8 +44,9 @@ def config_with(**kwargs):
 
 
 def query_loss(task, params) -> float:
-    """The task's query loss at ``params``: the mean of its query terms."""
-    return mean_loss([term(params) for term in task.query_terms]).item()
+    """The task's query loss at ``params``: the block-order sum of its query terms times 1/(their count)."""
+    values = [term(params).data for term in task.query_terms]
+    return float(sum(values[1:], values[0]) * np.asarray(1.0 / len(values), dtype=values[0].dtype))
 
 
 def mean_adapted_query_loss(theta, tasks, beta):
