@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 usage/config problems, 3 training divergence,
 4 dataset capacity errors, 5 I/O failures.  Every command that writes
 outputs also writes a ``manifest.json`` recording the tool version, seeds,
-config hash, SHA-256 fingerprints of its inputs and outputs, the numpy
-version, the BLAS build and its thread settings, and for a command that
-trains or adapts the parameter dtype; reruns with an identical manifest
-produce bit-identical files.
+config hash, SHA-256 fingerprints of its outputs and of each input path it
+was given (a directory file by file), the numpy version, the BLAS build and
+its thread settings, and for a command that trains or adapts the parameter
+dtype; reruns with an identical manifest produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -70,12 +70,20 @@ def _runtime() -> dict:
     }
 
 
-def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs: dict[str, str], dtype=None) -> None:
-    """Fingerprint everything in ``out_dir`` and record the run parameters and runtime.
+def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs, dtype=None) -> None:
+    """Fingerprint ``inputs`` and everything in ``out_dir``, and record the run parameters and runtime.
 
-    ``dtype`` is the parameter precision of a command that trains or adapts.
+    ``inputs`` are the paths the command was given, as given: a file is keyed by its path, a
+    directory by the path of each file under it.  ``dtype`` is the parameter precision of a
+    command that trains or adapts.
     """
     blob = json.dumps(config_obj, sort_keys=True).encode("utf-8")
+    fingerprints = {}
+    for path in inputs:
+        if Path(path).is_dir():
+            fingerprints |= {f"{path}/{rel}": digest for rel, digest in _fingerprint_tree(path).items()}
+        else:
+            fingerprints[str(path)] = _sha256_file(path)
     outputs = {rel: digest for rel, digest in _fingerprint_tree(out_dir).items() if Path(rel).name != "manifest.json"}
     manifest = {
         "tool": "pointmeta",
@@ -83,7 +91,7 @@ def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs:
         "command": command,
         "config_hash": hashlib.sha256(blob).hexdigest(),
         "seeds": seeds,
-        "inputs": inputs,
+        "inputs": fingerprints,
         "outputs": outputs,
         "runtime": _runtime(),
     }
@@ -143,7 +151,7 @@ def cmd_synth(args) -> int:
         areas.append(generate_synthetic_area(area_spec, seed=area_seed))
     write_dataset(areas, area_specs[0].classes, out)
     _print_areas(areas)
-    write_manifest(out, "synth", spec, {"seed": args.seed}, {str(args.spec): _sha256_file(args.spec)})
+    write_manifest(out, "synth", spec, {"seed": args.seed}, [args.spec])
     return 0
 
 
@@ -287,7 +295,6 @@ def _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out: Path):
     index = index_categories(areas, mode=spec.category_mode, points_per_block=model.points_per_block)
     needed = meta.epochs * meta.steps_per_epoch * meta.tasks_per_batch
     dist = build_task_distribution(index, spec, count=needed, seed=seeds["tasks"])
-    out.mkdir(parents=True, exist_ok=True)
 
     def hook(epoch, state):
         save_checkpoint(out / f"ckpt_epoch{epoch}", model, state.theta)
@@ -313,33 +320,27 @@ def cmd_pretrain(args) -> int:
         raise ConfigError(f"run config meta.beta_sweep: two of {[s.beta for s in sweep]} write one output directory")
     areas, vocab = load_dataset(root, wanted)
     out = Path(args.out)
-    if sweep:
-        for swept in sweep:
-            state, _ = _run_pretrain(areas, vocab, spec, swept, model_kwargs, seeds, out / f"beta_{swept.beta:g}")
-            final = f"final loss {state.losses[-1]:.4f}" if state.losses else "no steps"
-            print(f"beta={swept.beta:g}: {final}")
-    else:
-        state, _ = _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out)
-        final = f"{state.losses[-1]:.4f}" if state.losses else "n/a (0 steps)"
-        print(f"pretrained {len(state.history)} steps, final query loss {final}")
-    write_manifest(out, "pretrain", cfg, seeds, {str(args.config): _sha256_file(args.config)} | _prefixed_tree(root),
-                   dtype=state.theta.dtype)
+    for run_meta, run_out in [(swept, out / f"beta_{swept.beta:g}") for swept in sweep] or [(meta, out)]:
+        state, _ = _run_pretrain(areas, vocab, spec, run_meta, model_kwargs, seeds, run_out)
+        final = f"{state.losses[-1]:.4f}" if state.losses else "n/a"
+        print(f"beta={run_meta.beta:g}: pretrained {len(state.history)} steps, final query loss {final}")
+    write_manifest(out, "pretrain", cfg, seeds, [args.config, root], dtype=state.theta.dtype)
     return 0
-
-
-def _prefixed_tree(root) -> dict[str, str]:
-    return {f"{root}/{rel}": digest for rel, digest in _fingerprint_tree(root).items()}
 
 
 # ---------------------------------------------------------------------------
 # adapt-eval
 
 
+def _check_classes(model: PointNetConfig, vocab) -> None:
+    if len(vocab) != model.num_classes:
+        raise ConfigError(f"vocabulary size {len(vocab)} != checkpoint classes {model.num_classes}")
+
+
 def cmd_adapt_eval(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     areas, vocab = load_dataset(args.data, args.areas.split(",") if args.areas else ())
-    if len(vocab) != model.num_classes:
-        raise ConfigError(f"vocabulary size {len(vocab)} != checkpoint classes {model.num_classes}")
+    _check_classes(model, vocab)
     spec = EpisodeSpec(ways=args.ways, shots=args.shots, query_multiplier=args.queries)
     report = adapt_and_eval(
         theta,
@@ -353,7 +354,6 @@ def cmd_adapt_eval(args) -> int:
         points_per_block=args.points_per_block,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_file(out / "metrics.csv", csv_text(metrics_report(report.counts, report.overall, vocab)))
     rows = [[i, repr(m.oacc), repr(m.macc), repr(m.miou)] for i, m in enumerate(report.per_episode)]
     write_file(out / "episodes.csv", csv_text([["episode", "oacc", "macc", "miou"], *rows]))
@@ -363,18 +363,8 @@ def cmd_adapt_eval(args) -> int:
         f"(episode means: {report.mean_oacc:.4f}/{report.mean_macc:.4f}/{report.mean_miou:.4f})"
     )
     print(summary)
-    write_manifest(
-        out,
-        "adapt-eval",
-        {
-            "ways": args.ways, "shots": args.shots, "queries": args.queries,
-            "episodes": args.episodes, "beta": args.beta, "inner_steps": args.inner_steps,
-            "points_per_block": args.points_per_block,
-        },
-        {"seed": args.seed},
-        {str(args.checkpoint): _sha256_file(args.checkpoint)} | _prefixed_tree(args.data),
-        dtype=theta.dtype,
-    )
+    settings = {key: vars(args)[key] for key in ("ways", "shots", "queries", "episodes", "beta", "inner_steps", "points_per_block")}
+    write_manifest(out, "adapt-eval", settings, {"seed": args.seed}, [args.checkpoint, args.data], dtype=theta.dtype)
     return 0
 
 
@@ -391,7 +381,6 @@ def cmd_cross_validate(args) -> int:
     eval_seed = _field(cfg, "eval.seed", non_negative_int, 0)
     areas, vocab = load_dataset(root)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     names = [a.name for a in areas]
     table = {test: {src: "" for src in names} for test in names}
@@ -409,7 +398,7 @@ def cmd_cross_validate(args) -> int:
             print(f"pretrain {source.name} -> test {target.name}: oAcc {report.overall.oacc:.4f}")
     rows = [[test] + [table[test][src] for src in names] for test in names]
     write_file(out / "crossval.csv", csv_text([["test_area"] + names, *rows]))
-    write_manifest(out, "cross-validate", cfg, seeds | {"eval": eval_seed}, _prefixed_tree(root))
+    write_manifest(out, "cross-validate", cfg, seeds | {"eval": eval_seed}, [args.config, root])
     return 0
 
 
@@ -430,8 +419,7 @@ def _load_palette(path) -> dict[int, tuple[int, int, int]]:
 def cmd_export_ply(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
-    if len(vocab) != model.num_classes:
-        raise ConfigError(f"vocabulary size {len(vocab)} != checkpoint classes {model.num_classes}")
+    _check_classes(model, vocab)
     room = load_room(args.room, vocab)
     palette = dict(DEFAULT_PALETTE)
     if args.palette:
@@ -440,7 +428,6 @@ def cmd_export_ply(args) -> int:
     if missing:
         raise ConfigError(f"palette missing colors for classes {missing}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written = 0
     for k, block in enumerate(partition_blocks(room)):
         resampled = resample_block(block, model.points_per_block, np.random.default_rng([args.seed, k]))
@@ -451,10 +438,8 @@ def cmd_export_ply(args) -> int:
         export_ply(resampled, resampled.labels, palette, out / f"{stem}_truth.ply")
         written += 2
     print(f"wrote {written} PLY files to {out}")
-    write_manifest(
-        out, "export-ply", {"palette": args.palette or "default"}, {"seed": args.seed},
-        {str(args.checkpoint): _sha256_file(args.checkpoint), str(args.room): _sha256_file(args.room)},
-    )
+    inputs = [args.checkpoint, args.room, args.vocab] + ([args.palette] if args.palette else [])
+    write_manifest(out, "export-ply", {"palette": args.palette or "default"}, {"seed": args.seed}, inputs)
     return 0
 
 

@@ -137,10 +137,11 @@ def write_vocab(classes, path) -> None:
 def write_file(path, data) -> None:
     """Write ``data`` (bytes, or str as UTF-8) to ``<path>.tmp``, then rename that over ``path``.
 
-    A killed command leaves the old file or the new one, never part of one; there is no fsync,
-    so a power cut can still lose the write.
+    The directory that holds ``path`` is made if it is missing.  A killed command leaves the old
+    file or the new one, never part of one; there is no fsync, so a power cut can still lose the write.
     """
     tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
@@ -300,12 +301,12 @@ def write_room(room: Room, path) -> None:
     write_file(path, _format_rows(room.xyz, np.column_stack([room.rgb, room.labels])))
 
 
-def load_area(directory, vocab, name: str | None = None) -> Area:
+def load_area(directory, vocab) -> Area:
     directory = Path(directory)
     rooms = [load_room(p, vocab) for p in sorted(directory.glob("*.txt"))]
     if not rooms:
         raise ValidationError(f"{directory}: no room files found")
-    return Area(name=name or directory.name, rooms=rooms, classes=tuple(vocab))
+    return Area(name=directory.name, rooms=rooms, classes=tuple(vocab))
 
 
 def load_dataset(root, names=()) -> tuple[list[Area], tuple[str, ...]]:
@@ -324,10 +325,8 @@ def load_dataset(root, names=()) -> tuple[list[Area], tuple[str, ...]]:
 
 def write_dataset(areas, classes, root) -> None:
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     write_vocab(classes, root / "vocab.txt")
     for area in areas:
-        (root / area.name).mkdir(exist_ok=True)
         for room in area.rooms:
             write_room(room, root / area.name / f"{room.name}.txt")
 

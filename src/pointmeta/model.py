@@ -41,16 +41,20 @@ class PointNetConfig:
     points_per_block: int = 1024
 
     def __post_init__(self):
-        object.__setattr__(self, "mlp1_widths", tuple(self.mlp1_widths))
-        object.__setattr__(self, "mlp2_widths", tuple(self.mlp2_widths))
-        object.__setattr__(self, "seg_head_widths", tuple(self.seg_head_widths))
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.points_per_block < 1:
-            raise ConfigError("points_per_block must be >= 1")
-        for widths in (self.mlp1_widths, self.mlp2_widths, self.seg_head_widths):
-            if not widths or any(w < 1 for w in widths):
-                raise ConfigError(f"layer widths must all be >= 1, got {widths}")
+        def at_least(value, least):  # a checkpoint header passes JSON values, so 3.0 or true is not read as 3 or 1
+            return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+        for name in ("mlp1_widths", "mlp2_widths", "seg_head_widths"):
+            widths = tuple(getattr(self, name))
+            object.__setattr__(self, name, widths)
+            if not widths or not all(at_least(w, 1) for w in widths):
+                raise ConfigError(f"{name} must be integers >= 1, got {widths}")
+        if not at_least(self.num_classes, 2):
+            raise ConfigError(f"num_classes must be an integer >= 2, got {self.num_classes!r}")
+        if not at_least(self.points_per_block, 1):
+            raise ConfigError(f"points_per_block must be an integer >= 1, got {self.points_per_block!r}")
+        if not isinstance(self.use_tnet, bool):
+            raise ConfigError(f"use_tnet must be true or false, got {self.use_tnet!r}")
 
 
 def layer_shapes(config: PointNetConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -247,18 +251,21 @@ def load_checkpoint(path) -> tuple[PointNetConfig, ParamStore]:
             # ValueError covers a non-integer length and bad UTF-8 or JSON
             header = json.loads(fh.read(int(first[2])).decode("utf-8"))
             fields = dict(header["config"])
-            if fields.pop("input_dim", INPUT_DIM) != INPUT_DIM:
-                raise ConfigError(f"{path}: checkpoint input_dim is not the {INPUT_DIM} feature columns")
+            input_dim = fields.pop("input_dim", INPUT_DIM)
             config = PointNetConfig(**fields)
             dtype = header["dtype"]
             listed = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        if not isinstance(input_dim, int) or input_dim != INPUT_DIM:
+            raise ConfigError(f"{path}: checkpoint input_dim is not the {INPUT_DIM} feature columns")
         if dtype not in ("float32", "float64"):
             raise ConfigError(f"{path}: unsupported parameter dtype {dtype!r}")
-        # forward slices weights by the config's widths, so the listing must be exact
+        # forward slices weights by the config's widths, so the listing must be exact, JSON types too
         expected = layer_shapes(config)
-        if listed != expected:
+        if json.dumps(listed) != json.dumps(expected):
             raise ConfigError(f"{path}: parameter names or shapes do not match the header config")
         little = "<f4" if dtype == "float32" else "<f8"
         itemsize = np.dtype(little).itemsize

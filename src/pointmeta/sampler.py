@@ -100,7 +100,7 @@ class CategoryIndex:
         block = self._blocks[ref.identity]
         resampled = resample_block(block, self.points_per_block, np.random.default_rng(resample_seed))
         features = featurize_block(resampled)
-        return BlockSample(ref=ref, resample_seed=resample_seed, features=features, labels=resampled.labels.copy())
+        return BlockSample(ref=ref, resample_seed=resample_seed, features=features, labels=resampled.labels)
 
 
 def index_categories(areas, mode: str = "room_type", points_per_block: int = 1024) -> CategoryIndex:

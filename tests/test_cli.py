@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from pointmeta.cli import main
-from pointmeta.data import DEFAULT_CLASSES
+from pointmeta.data import DEFAULT_CLASSES, DEFAULT_PALETTE
 from pointmeta.model import load_checkpoint
 
 SYNTH_SPEC = {
@@ -435,7 +435,7 @@ def test_pretrain_divergence_exit_code(dataset, tmp_path):
     assert (out / "loss.csv").exists()
 
 
-def test_pretrain_beta_sweep(dataset, tmp_path):
+def test_pretrain_beta_sweep(dataset, tmp_path, capsys):
     cfg = json.loads(json.dumps(RUN_CONFIG))
     cfg["data"]["root"] = str(dataset)
     cfg["meta"]["epochs"] = 1
@@ -450,15 +450,24 @@ def test_pretrain_beta_sweep(dataset, tmp_path):
     with open(out / "beta_0.01" / "loss.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][2] == repr(0.01)
+    assert capsys.readouterr().out == "".join(run_line(beta, out / f"beta_{beta}") for beta in ("0.01", "0.001", "0.0001"))
 
 
-def test_pretrain_rerun_identical(dataset, tmp_path, pretrained):
+def run_line(beta: str, run_dir: Path) -> str:
+    """The line pretrain prints for the run that wrote ``run_dir``."""
+    with open(run_dir / "loss.csv") as fh:
+        losses = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+    return f"beta={beta}: pretrained {len(losses)} steps, final query loss {losses[-1]:.4f}\n"
+
+
+def test_pretrain_rerun_identical(dataset, tmp_path, pretrained, capsys):
     cfg = json.loads(json.dumps(RUN_CONFIG))
     cfg["data"]["root"] = str(dataset)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     rerun = tmp_path / "train2"
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(rerun)]) == 0
+    assert capsys.readouterr().out == run_line("0.001", rerun)  # a single run prints the line a swept one does
     ours = tree_hashes(rerun)
     theirs = tree_hashes(pretrained)
     assert ours == theirs
@@ -521,16 +530,30 @@ def test_adapt_eval_capacity_error(dataset, pretrained, tmp_path):
     assert code == 4
 
 
-def five_input_columns(blob: bytes) -> bytes:
-    """A self-consistent checkpoint for 5 input columns: the header says so and mlp1.0.w has 5 rows."""
+def edit_header(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` after ``edit`` changed its JSON header in place; ``edit`` may return a count of body bytes to drop."""
     first, rest = blob.split(b"\n", 1)
     length = int(first.split()[2])
     header = json.loads(rest[:length])
-    entry = header["params"][0]  # mlp1.0.w comes first in the body
-    rows, width = entry["shape"]
-    header["config"]["input_dim"], entry["shape"] = 5, [5, width]
+    cut = edit(header) or 0
     new = json.dumps(header, sort_keys=True).encode("utf-8")
-    return b"PMCKPT v1 %d\n" % len(new) + new + rest[length + (rows - 5) * width * 4:]
+    return b"PMCKPT v1 %d\n" % len(new) + new + rest[length + cut:]
+
+
+def five_input_columns(blob: bytes) -> bytes:
+    """A self-consistent checkpoint for 5 input columns: the header says so and mlp1.0.w has 5 rows."""
+
+    def edit(header):
+        entry = header["params"][0]  # mlp1.0.w comes first in the body
+        rows, width = entry["shape"]
+        header["config"]["input_dim"], entry["shape"] = 5, [5, width]
+        return (rows - 5) * width * 4
+
+    return edit_header(blob, edit)
+
+
+def config_value(key, value):
+    return lambda blob: edit_header(blob, lambda header: header["config"].update({key: value}))
 
 
 @pytest.mark.parametrize(
@@ -547,10 +570,21 @@ def five_input_columns(blob: bytes) -> bytes:
         lambda blob: blob + b"\0\0\0\0",  # bytes after the last parameter
         lambda blob: blob.replace(b'"float32"', b'"float99"', 1),  # unknown dtype
         five_input_columns,  # not the 9 columns featurize_block gives
+        config_value("num_classes", 6.0),  # the checkpoint's own class count, as a float
+        config_value("num_classes", 1),
+        config_value("points_per_block", 0),
+        config_value("points_per_block", True),
+        config_value("points_per_block", 32.0),
+        config_value("mlp1_widths", [8.0, 8]),
+        config_value("use_tnet", 0),
+        config_value("input_dim", 9.0),
+        lambda blob: edit_header(blob, lambda header: header["params"][0].update(shape=[9.0, 8])),  # mlp1.0.w
     ],
     ids=[
         "prefix40", "non_ascii", "bad_length", "no_config", "no_dtype", "no_params",
-        "no_shape", "renamed", "trailing", "bad_dtype", "input_dim_5",
+        "no_shape", "renamed", "trailing", "bad_dtype", "input_dim_5", "num_classes_float", "num_classes_1",
+        "points_per_block_0", "points_per_block_true", "points_per_block_float", "width_float", "use_tnet_0",
+        "input_dim_float", "shape_float",
     ],
 )
 def test_adapt_eval_malformed_checkpoint_usage_error(dataset, pretrained, tmp_path, capsys, corrupt):
@@ -566,7 +600,63 @@ def test_adapt_eval_malformed_checkpoint_usage_error(dataset, pretrained, tmp_pa
         ]
     )
     assert code == 2
-    assert str(broken) in capsys.readouterr().err
+    assert capsys.readouterr().err.count(str(broken)) == 1  # named, and only once
+
+
+# JSON values to put in a checkpoint header; the test keeps those that differ from the saved value
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.integers(2**31, 2**70), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 70), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=1),
+)
+HEADER_VALUES = {
+    "dtype": st.one_of(st.sampled_from(["float64", "float16", "int32", "<f4", "FLOAT32"]), JUNK),
+    "name": st.one_of(st.sampled_from(["mlp1.0.b", "out.w", "tnet.out.w", "mlp1.0.W"]), JUNK),
+    "shape": st.one_of(st.lists(st.integers(0, 70), max_size=3), st.lists(st.floats(0, 70), min_size=2, max_size=2), JUNK),
+}
+
+
+@st.composite
+def header_edits(draw):
+    """A path into a checkpoint header and the value to put there."""
+    where = draw(st.sampled_from([
+        *(("config", key) for key in ("num_classes", "mlp1_widths", "mlp2_widths", "seg_head_widths", "use_tnet",
+                                      "points_per_block", "input_dim")),
+        ("dtype",), *(("params", i, field) for i in (0, 1, 9) for field in ("name", "shape")),
+    ]))
+    return where, draw(HEADER_VALUES.get(where[-1], JUNK))
+
+
+@given(header_edits(), st.sampled_from(["adapt-eval", "export-ply"]))
+@settings(max_examples=300, deadline=None)
+def test_checkpoint_header_contract(dataset, pretrained, edit, command):
+    # a checkpoint whose header holds one value other than the one its parameters were saved with fails
+    # with an exit code, a message that names the file and no traceback
+    (*parents, key), value = edit
+
+    def put(header):
+        for step in parents:
+            header = header[step]
+        assume(json.dumps(header[key]) != json.dumps(value))
+        # any other whole number of points per block is a valid checkpoint
+        assume(not (key == "points_per_block" and type(value) is int and value >= 1))
+        header[key] = value
+
+    blob = edit_header((pretrained / "ckpt_epoch2").read_bytes(), put)
+    event(".".join(map(str, edit[0])))
+    room = next((dataset / "AreaB").glob("office_*.txt"))
+    argv = {
+        "adapt-eval": ["--data", str(dataset), "--episodes", "1"],
+        "export-ply": ["--room", str(room), "--vocab", str(dataset / "vocab.txt")],
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        broken = Path(tmp) / "ckpt"
+        broken.write_bytes(blob)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--checkpoint", str(broken), *argv, "--out", str(Path(tmp) / "out")])
+        event(f"exit {code}")
+        assert code in (2, 4, 5), err.getvalue()
+        assert str(broken) in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 def test_export_ply(dataset, pretrained, tmp_path):
@@ -590,6 +680,24 @@ def test_export_ply(dataset, pretrained, tmp_path):
         header = ply.read_text().splitlines()
         vertex = next(l for l in header if l.startswith("element vertex"))
         assert int(vertex.split()[-1]) == per_block
+
+
+def test_export_ply_manifest_fingerprints_its_inputs(dataset, pretrained, tmp_path):
+    # the second palette adds a color for a class the checkpoint lacks: the same PLY files, another input
+    room = next((dataset / "AreaB").glob("office_*.txt"))
+    palette = tmp_path / "palette.json"
+    manifests = []
+    for extra in ({}, {"99": [1, 2, 3]}):
+        palette.write_text(json.dumps({str(i): list(rgb) for i, rgb in DEFAULT_PALETTE.items()} | extra))
+        out = tmp_path / f"ply{len(manifests)}"
+        assert main(["export-ply", "--checkpoint", str(pretrained / "ckpt_epoch2"), "--room", str(room),
+                     "--vocab", str(dataset / "vocab.txt"), "--palette", str(palette), "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert tree_hashes(tmp_path / "ply0") == tree_hashes(tmp_path / "ply1")
+    assert manifests[0]["inputs"] != manifests[1]["inputs"]
+    inputs = [str(pretrained / "ckpt_epoch2"), str(room), str(dataset / "vocab.txt"), str(palette)]
+    assert sorted(manifests[1]["inputs"]) == sorted(inputs)
+    assert manifests[1]["inputs"][str(palette)] == hashlib.sha256(palette.read_bytes()).hexdigest()
 
 
 def test_export_ply_palette_missing_class(dataset, pretrained, tmp_path):
@@ -651,6 +759,9 @@ def test_cross_validate_table(dataset, tmp_path):
     assert table["AreaA"][0] == ""  # empty diagonal
     assert table["AreaB"][1] == ""
     assert float(table["AreaB"][0]) > 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs[str(cfg_path)] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+    assert sorted(inputs) == sorted([str(cfg_path), *(f"{dataset}/{p.relative_to(dataset)}" for p in dataset.rglob("*") if p.is_file())])
 
 
 def test_gradcheck_passes_and_negative_control(capsys):

@@ -420,6 +420,10 @@ def test_write_file_replaces_whole_or_not_at_all(tmp_path, monkeypatch):
         write_file(path, "0 floor\n")
     assert path.read_bytes() == b"0 wall\n"
     assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+    monkeypatch.undo()
+    nested = tmp_path / "new" / "dir" / "vocab.txt"
+    write_file(nested, b"0 wall\n")  # the directories that hold it are made
+    assert nested.read_bytes() == b"0 wall\n"
 
 
 def test_write_room_keeps_integers_above_2_53(tmp_path):
