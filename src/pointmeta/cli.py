@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage/config problems, 3 training divergence,
 4 dataset capacity errors, 5 I/O failures.  Every command that writes
 outputs also writes a ``manifest.json`` recording the tool version, seeds,
 config hash, SHA-256 fingerprints of its outputs and of each input path it
-was given (a directory file by file), the numpy version, the BLAS build and
+read (a directory file by file), the numpy version, the BLAS build and
 its thread settings, and for a command that trains or adapts the parameter
 dtype; reruns with an identical manifest produce bit-identical files.
 """
@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .data import (
 )
 from .errors import CapacityError, ConfigError, DivergenceError, ValidationError
 from .metrics import metrics_report
-from .model import INPUT_DIM, PointNetConfig, forward, init_params, load_checkpoint, predict_labels, save_checkpoint
+from .model import PointNetConfig, forward, init_params, load_checkpoint, predict_labels, save_checkpoint
 from .sampler import EpisodeSpec, build_task_distribution, index_categories
 from .trainer import MetaConfig, adapt_and_eval, pretrain
 
@@ -73,7 +74,7 @@ def _runtime() -> dict:
 def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs, dtype=None) -> None:
     """Fingerprint ``inputs`` and everything in ``out_dir``, and record the run parameters and runtime.
 
-    ``inputs`` are the paths the command was given, as given: a file is keyed by its path, a
+    ``inputs`` are the paths the command read, as given: a file is keyed by its path, a
     directory by the path of each file under it.  ``dtype`` is the parameter precision of a
     command that trains or adapts.
     """
@@ -100,30 +101,32 @@ def write_manifest(out_dir: Path, command: str, config_obj, seeds: dict, inputs,
     write_file(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
+    """The JSON object in the file at ``path``; a synth spec, a run config and a palette are each one."""
     try:
-        return json.loads(read_text(path))
+        loaded = json.loads(read_text(path))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got a {type(loaded).__name__}")
+    return loaded
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{source}: expected a JSON object")
+def _area_specs_from_json(spec: dict, source: str) -> list[SyntheticAreaSpec]:
     areas = _field(spec, "areas", _list_of(_exactly(dict)), source=source)
     if not areas:
         raise ConfigError(f"{source}: needs a non-empty 'areas' list")
     shared = dict(
-        density=_field(spec, "density", number, 110.0, source),
-        color_noise=_field(spec, "color_noise", number, 6.0, source),
-        room_tint=_field(spec, "room_tint", number, 14.0, source),
-        classes=_field(spec, "classes", _list_of(_exactly(str)), DEFAULT_CLASSES, source),
+        density=_field(spec, "density", number, 110.0, source=source),
+        color_noise=_field(spec, "color_noise", number, 6.0, source=source),
+        room_tint=_field(spec, "room_tint", number, 14.0, source=source),
+        classes=_field(spec, "classes", _list_of(_exactly(str)), DEFAULT_CLASSES, source=source),
     )
     names = [_field(entry, "name", _exactly(str), source=source) for entry in areas]
     if len(set(names)) < len(names):
@@ -134,10 +137,7 @@ def _area_specs_from_json(spec, source: str) -> list[SyntheticAreaSpec]:
     for name, entry in zip(names, areas):
         rooms = _field(entry, "rooms", _exactly(dict), source=source)
         counts = tuple((t, _field(entry, f"rooms.{t}", integer, source=source)) for t in rooms)
-        try:
-            out.append(SyntheticAreaSpec(name=name, rooms=counts, **shared))
-        except ConfigError as exc:
-            raise ConfigError(f"{source} {exc}") from exc
+        out.append(_checked(f"{source} ", SyntheticAreaSpec, name=name, rooms=counts, **shared))
     return out
 
 
@@ -178,7 +178,7 @@ def _print_areas(areas, with_types: bool = False) -> None:
 # pretrain
 
 
-def _field(cfg: dict, path: str, kind, default=None, source: str = "run config"):
+def _field(cfg: dict, path: str, kind, default=None, *, source: str):
     """Read the dotted ``path`` from a JSON object and cast it with ``kind``.
 
     A missing or null key takes ``default``; without a default it is required.
@@ -212,14 +212,23 @@ def _list_of(kind):
 
 
 def _exactly(kind):
-    # bool("no") is True and str(5) is "5", so a JSON value is taken only as its own type
+    # bool("no") is True, str(5) is "5" and int(6.0) is 6, so a JSON value is taken only as its own type
     def cast(value):
-        if not isinstance(value, kind):
+        if type(value) is not kind:
             raise TypeError(f"expected {kind.__name__}, got {value!r}")
         return value
 
     cast.__name__ = kind.__name__
     return cast
+
+
+integer = _exactly(int)
+
+
+def number(value) -> float:  # a JSON integer or float; float() would also read "1e-3" and true
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _rgb(value) -> tuple[int, int, int]:
@@ -231,58 +240,84 @@ def _rgb(value) -> tuple[int, int, int]:
 _rgb.__name__ = "three integers in 0..255"
 
 
-def integer(value) -> int:
-    # int() alone reads true as 1 and 6.5 as 6; a string (argparse's --seed) still goes through int()
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def number(value) -> float:
-    if isinstance(value, bool):  # float() reads true as 1.0
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def non_negative_int(value) -> int:  # the type of every seed: numpy rejects negative ones
-    if (parsed := integer(value)) < 0:
+    if integer(value) < 0:
         raise ValueError(f"expected a non-negative integer, got {value!r}")
-    return parsed
+    return value
 
 
-def _parse_run_config(cfg: dict):
-    """Data root, episode spec, meta config, model keyword arguments and seeds."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("run config must be a JSON object")
-    spec = EpisodeSpec(
-        ways=_field(cfg, "episode.ways", integer, 2),
-        shots=_field(cfg, "episode.shots", integer, 6),
-        query_multiplier=_field(cfg, "episode.queries", integer, 1),
-        category_mode=_field(cfg, "episode.category_mode", _exactly(str), "room_type"),
+def _checked(prefix: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with ``prefix`` put before the message of a ``ConfigError`` it raises."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+# what _parse_run_config read; ``loaded`` is the file's JSON object, which the manifest hashes
+RunConfig = namedtuple("RunConfig", "loaded root areas spec meta sweep model seeds eval_episodes eval_beta eval_steps eval_seed")
+
+
+def _parse_run_config(path) -> RunConfig:
+    """Every key of the run config at ``path`` that pretrain or cross-validate uses, each read as its own JSON type."""
+    cfg, source = _load_json(path), f"run config {path}"
+    read = {}  # section -> the keys read from it
+
+    def field(key: str, kind, default=None):
+        section, name = key.split(".")
+        read.setdefault(section, set()).add(name)
+        return _field(cfg, key, kind, default, source=source)
+
+    # a config dataclass's message begins with the field it rejects, so "<section>." before it names the key
+    spec = _checked(
+        f"{source} episode.", EpisodeSpec,
+        ways=field("episode.ways", integer, 2),
+        shots=field("episode.shots", integer, 6),
+        query_multiplier=field("episode.queries", integer, 1),
+        category_mode=field("episode.category_mode", _exactly(str), "room_type"),
     )
-    meta = MetaConfig(
-        alpha=_field(cfg, "meta.alpha", number, 1e-3),
-        beta=_field(cfg, "meta.beta", number, 1e-3),
-        inner_steps=_field(cfg, "meta.inner_steps", integer, 1),
-        tasks_per_batch=_field(cfg, "meta.tasks_per_batch", integer, 1),
-        gradient_mode=_field(cfg, "meta.gradient_mode", _exactly(str), "first_order"),
-        epochs=_field(cfg, "meta.epochs", integer, 1),
-        steps_per_epoch=_field(cfg, "meta.steps_per_epoch", integer, 0),
-        phase_betas=_field(cfg, "meta.phase_betas", _list_of(number), ()) or None,
+    meta = _checked(
+        f"{source} meta.", MetaConfig,
+        alpha=field("meta.alpha", number, 1e-3),
+        beta=field("meta.beta", number, 1e-3),
+        inner_steps=field("meta.inner_steps", integer, 1),
+        tasks_per_batch=field("meta.tasks_per_batch", integer, 1),
+        gradient_mode=field("meta.gradient_mode", _exactly(str), "first_order"),
+        epochs=field("meta.epochs", integer, 1),
+        steps_per_epoch=field("meta.steps_per_epoch", integer, 0),
+        phase_betas=field("meta.phase_betas", _list_of(number), ()) or None,
     )
-    if "collaborative" in cfg.get("meta", {}):
-        raise ConfigError("run config meta.collaborative is no longer read; set meta.tasks_per_batch instead")
-    model_kwargs = dict(
-        mlp1_widths=_field(cfg, "model.mlp1_widths", _list_of(integer), (64, 64)),
-        mlp2_widths=_field(cfg, "model.mlp2_widths", _list_of(integer), (64, 128, 256)),
-        seg_head_widths=_field(cfg, "model.seg_head_widths", _list_of(integer), (128, 64)),
-        use_tnet=_field(cfg, "model.use_tnet", _exactly(bool), False),
-        points_per_block=_field(cfg, "data.points_per_block", integer, 1024),
+    # every swept beta is range-checked, and given a directory of its own, before the first run trains
+    rates = field("meta.beta_sweep", _list_of(number), ())
+    sweep = tuple(_checked(f"{source} meta.beta_sweep: ", replace, meta, beta=beta) for beta in rates)
+    if len({f"{beta:g}" for beta in rates}) < len(rates):
+        raise ConfigError(f"{source} meta.beta_sweep: two of {list(rates)} write one output directory")
+    model = _checked(
+        f"{source} model.", PointNetConfig,
+        num_classes=2,  # a stand-in: the dataset's vocabulary sets the class count
+        mlp1_widths=field("model.mlp1_widths", _list_of(integer), (64, 64)),
+        mlp2_widths=field("model.mlp2_widths", _list_of(integer), (64, 128, 256)),
+        seg_head_widths=field("model.seg_head_widths", _list_of(integer), (128, 64)),
+        use_tnet=field("model.use_tnet", _exactly(bool), False),
     )
-    if cfg.get("model", {}).get("input_dim", INPUT_DIM) != INPUT_DIM:
-        raise ConfigError(f"run config model.input_dim is no longer read; featurized blocks always have {INPUT_DIM} columns")
-    seeds = {key: _field(cfg, f"seeds.{key}", non_negative_int, 0) for key in ("init", "tasks")}
-    return _field(cfg, "data.root", _exactly(str)), spec, meta, model_kwargs, seeds
+    model = _checked(f"{source} data.", replace, model, points_per_block=field("data.points_per_block", integer, 1024))
+    root = field("data.root", _exactly(str))
+    areas = field("data.areas", _list_of(_exactly(str)), ())
+    seeds = {key: field(f"seeds.{key}", non_negative_int, 0) for key in ("init", "tasks")}
+    eval_episodes = field("eval.episodes", integer, 20)
+    eval_beta = field("eval.beta", number, meta.beta)
+    eval_steps = field("eval.inner_steps", integer, meta.inner_steps)
+    eval_seed = field("eval.seed", non_negative_int, 0)
+    unread = [section for section in cfg if section not in read]
+    unread += [f"{section}.{key}" for section, keys in read.items() for key in cfg.get(section, {}) if key not in keys]
+    if unread:
+        raise ConfigError(f"{source} {', '.join(unread)}: unknown key")
+    return RunConfig(cfg, root, areas, spec, meta, sweep, model, seeds, eval_episodes, eval_beta, eval_steps, eval_seed)
+
+
+def _dataset_inputs(root, areas) -> list[str]:
+    """The paths under the data ``root`` that loading ``areas`` read: the vocabulary and each area's directory."""
+    return [f"{root}/vocab.txt", *(f"{root}/{area.name}" for area in areas)]
 
 
 def write_loss_csv(history, path) -> None:
@@ -290,11 +325,11 @@ def write_loss_csv(history, path) -> None:
     write_file(path, csv_text([["step", "query_loss", "beta", "alpha"], *rows]))
 
 
-def _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out: Path):
-    model = PointNetConfig(num_classes=len(vocab), **model_kwargs)
-    index = index_categories(areas, mode=spec.category_mode, points_per_block=model.points_per_block)
+def _run_pretrain(cfg: RunConfig, meta: MetaConfig, seeds: dict, areas, vocab, out: Path):
+    model = replace(cfg.model, num_classes=len(vocab))
+    index = index_categories(areas, mode=cfg.spec.category_mode, points_per_block=model.points_per_block)
     needed = meta.epochs * meta.steps_per_epoch * meta.tasks_per_batch
-    dist = build_task_distribution(index, spec, count=needed, seed=seeds["tasks"])
+    dist = build_task_distribution(index, cfg.spec, count=needed, seed=seeds["tasks"])
 
     def hook(epoch, state):
         save_checkpoint(out / f"ckpt_epoch{epoch}", model, state.theta)
@@ -309,22 +344,16 @@ def _run_pretrain(areas, vocab, spec, meta, model_kwargs, seeds, out: Path):
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _load_json(args.config)
-    root, spec, meta, model_kwargs, seeds = _parse_run_config(cfg)
-    if args.seed is not None:
-        seeds = {**seeds, "init": args.seed}
-    wanted = _field(cfg, "data.areas", _list_of(_exactly(str)), ())
-    # every swept beta is range-checked, and given a directory of its own, before the first run trains
-    sweep = [replace(meta, beta=beta) for beta in _field(cfg, "meta.beta_sweep", _list_of(number), ())]
-    if len({f"{swept.beta:g}" for swept in sweep}) < len(sweep):
-        raise ConfigError(f"run config meta.beta_sweep: two of {[s.beta for s in sweep]} write one output directory")
-    areas, vocab = load_dataset(root, wanted)
+    cfg = _parse_run_config(args.config)
+    seeds = cfg.seeds if args.seed is None else {**cfg.seeds, "init": args.seed}
+    areas, vocab = _checked(f"run config {args.config} data.areas: ", load_dataset, cfg.root, cfg.areas)
     out = Path(args.out)
-    for run_meta, run_out in [(swept, out / f"beta_{swept.beta:g}") for swept in sweep] or [(meta, out)]:
-        state, _ = _run_pretrain(areas, vocab, spec, run_meta, model_kwargs, seeds, run_out)
+    for run_meta, run_out in [(swept, out / f"beta_{swept.beta:g}") for swept in cfg.sweep] or [(cfg.meta, out)]:
+        state, _ = _run_pretrain(cfg, run_meta, seeds, areas, vocab, run_out)
         final = f"{state.losses[-1]:.4f}" if state.losses else "n/a"
         print(f"beta={run_meta.beta:g}: pretrained {len(state.history)} steps, final query loss {final}")
-    write_manifest(out, "pretrain", cfg, seeds, [args.config, root], dtype=state.theta.dtype)
+    inputs = [args.config, *_dataset_inputs(cfg.root, areas)]
+    write_manifest(out, "pretrain", cfg.loaded, seeds, inputs, dtype=state.theta.dtype)
     return 0
 
 
@@ -364,7 +393,8 @@ def cmd_adapt_eval(args) -> int:
     )
     print(summary)
     settings = {key: vars(args)[key] for key in ("ways", "shots", "queries", "episodes", "beta", "inner_steps", "points_per_block")}
-    write_manifest(out, "adapt-eval", settings, {"seed": args.seed}, [args.checkpoint, args.data], dtype=theta.dtype)
+    inputs = [args.checkpoint, *_dataset_inputs(args.data, areas)]
+    write_manifest(out, "adapt-eval", settings, {"seed": args.seed}, inputs, dtype=theta.dtype)
     return 0
 
 
@@ -373,32 +403,28 @@ def cmd_adapt_eval(args) -> int:
 
 
 def cmd_cross_validate(args) -> int:
-    cfg = _load_json(args.config)
-    root, spec, meta, model_kwargs, seeds = _parse_run_config(cfg)
-    episodes = _field(cfg, "eval.episodes", integer, 20)
-    eval_beta = _field(cfg, "eval.beta", number, meta.beta)
-    eval_steps = _field(cfg, "eval.inner_steps", integer, meta.inner_steps)
-    eval_seed = _field(cfg, "eval.seed", non_negative_int, 0)
-    areas, vocab = load_dataset(root)
+    cfg = _parse_run_config(args.config)
+    areas, vocab = load_dataset(cfg.root)
     out = Path(args.out)
 
     names = [a.name for a in areas]
     table = {test: {src: "" for src in names} for test in names}
     for source in areas:
-        state, model = _run_pretrain([source], vocab, spec, meta, model_kwargs, seeds, out / f"pretrain_{source.name}")
+        state, model = _run_pretrain(cfg, cfg.meta, cfg.seeds, [source], vocab, out / f"pretrain_{source.name}")
         for target in areas:
             if target.name == source.name:
                 continue
             report = adapt_and_eval(
-                state.theta, model, [target], spec, episodes=episodes,
-                rng=np.random.default_rng([eval_seed, names.index(source.name), names.index(target.name)]),
-                beta=eval_beta, inner_steps=eval_steps,
+                state.theta, model, [target], cfg.spec, episodes=cfg.eval_episodes,
+                rng=np.random.default_rng([cfg.eval_seed, names.index(source.name), names.index(target.name)]),
+                beta=cfg.eval_beta, inner_steps=cfg.eval_steps,
             )
             table[target.name][source.name] = repr(report.overall.oacc)
             print(f"pretrain {source.name} -> test {target.name}: oAcc {report.overall.oacc:.4f}")
     rows = [[test] + [table[test][src] for src in names] for test in names]
     write_file(out / "crossval.csv", csv_text([["test_area"] + names, *rows]))
-    write_manifest(out, "cross-validate", cfg, seeds | {"eval": eval_seed}, [args.config, root])
+    inputs = [args.config, *_dataset_inputs(cfg.root, areas)]
+    write_manifest(out, "cross-validate", cfg.loaded, cfg.seeds | {"eval": cfg.eval_seed}, inputs)
     return 0
 
 
@@ -408,8 +434,6 @@ def cmd_cross_validate(args) -> int:
 
 def _load_palette(path) -> dict[int, tuple[int, int, int]]:
     loaded, source = _load_json(path), f"palette {path}"
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"{source}: expected an object of class id -> [r, g, b]")
     for key in loaded:
         if not key.isdecimal():
             raise ConfigError(f"{source} {key}: class ids must be integers")
@@ -493,6 +517,10 @@ def cmd_gradcheck(args) -> int:
 # entry point
 
 
+def seed_flag(text: str) -> int:  # argparse hands a flag over as its string; a config's seed is a JSON integer
+    return non_negative_int(int(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pointmeta", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pointmeta {__version__}")
@@ -500,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--spec", required=True, help="synthetic dataset spec (JSON)")
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--seed", type=seed_flag, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -511,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="meta-train an initialization")
     p.add_argument("--config", required=True, help="run configuration (JSON)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=non_negative_int, default=None, help="override the init seed")
+    p.add_argument("--seed", type=seed_flag, default=None, help="override the init seed")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("adapt-eval", help="adapt a checkpoint on target episodes and score")
@@ -525,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1e-3)
     p.add_argument("--inner-steps", type=int, default=1)
     p.add_argument("--points-per-block", type=int, default=None)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--seed", type=seed_flag, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_adapt_eval)
 
@@ -539,13 +567,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--room", required=True, help="canonical room file")
     p.add_argument("--vocab", required=True)
     p.add_argument("--palette", default=None, help="JSON class-id -> [r, g, b]")
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--seed", type=seed_flag, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_ply)
 
     p = sub.add_parser("gradcheck", help="check reverse-mode gradients against finite differences")
     p.add_argument("--bits", type=int, choices=(32, 64), default=64)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--seed", type=seed_flag, default=0)
     p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from pointmeta.cli import main
+from pointmeta.cli import _area_specs_from_json, _parse_run_config, main
 from pointmeta.data import DEFAULT_CLASSES, DEFAULT_PALETTE
 from pointmeta.model import load_checkpoint
 
@@ -33,6 +34,16 @@ RUN_CONFIG = {
     "meta": {"alpha": 1e-3, "beta": 1e-3, "epochs": 2, "steps_per_epoch": 3},
     "seeds": {"init": 0, "tasks": 1},
 }
+
+
+def dataset_inputs(root: Path, *areas: str) -> list[str]:
+    """The manifest input keys of a command that read ``areas`` under ``root``: the vocabulary and every area file."""
+    files = [p for area in areas for p in (root / area).rglob("*") if p.is_file()]
+    return [f"{root}/vocab.txt", *(f"{root}/{p.relative_to(root)}" for p in files)]
+
+
+def manifest_inputs(out: Path) -> list[str]:
+    return sorted(json.loads((out / "manifest.json").read_text())["inputs"])
 
 
 def tree_hashes(root: Path) -> dict:
@@ -131,6 +142,8 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"areas": [{"name": 5, "rooms": {"office": 1}}]}, "name: cannot read 5 as str"),
         ({"classes": [*DEFAULT_CLASSES, 1]}, "classes: cannot read"),
         ({"areas": [[["name", "A"], ["rooms", {"office": 1}]]]}, "areas: cannot read"),
+        ({"density": "70"}, "density: cannot read '70'"),
+        ({"areas": [{"name": "X", "rooms": {"office": 2.0}}]}, "rooms.office: cannot read 2.0"),
     ],
     ids=[
         "density", "room_count", "area_entry", "classes", "negative_color_noise", "negative_room_tint",
@@ -138,7 +151,7 @@ def test_synth_bad_spec(tmp_path, capsys):
         "fractional_room_count", "no_rooms",
         "no_classes", "missing_class", "repeated_class", "class_with_space", "empty_area_name", "area_name_path",
         "area_name_parent", "repeated_area_name", "area_named_manifest", "area_named_vocab", "numeric_area_name",
-        "numeric_class", "area_as_key_value_pairs",
+        "numeric_class", "area_as_key_value_pairs", "string_density", "whole_float_room_count",
     ],
 )
 def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):
@@ -260,6 +273,9 @@ def test_commands_read_only_the_areas_they_name(dataset, pretrained, tmp_path, c
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "train")]) == 0
     assert main(["adapt-eval", "--checkpoint", str(pretrained / "ckpt_epoch2"), "--data", str(copy), "--areas", "AreaA",
                  "--shots", "2", "--episodes", "1", "--out", str(tmp_path / "eval")]) == 0
+    # each manifest lists what its command read: the vocabulary and AreaA, not AreaB, AreaC or synth's manifest
+    assert manifest_inputs(tmp_path / "train") == sorted([str(cfg_path), *dataset_inputs(copy, "AreaA")])
+    assert manifest_inputs(tmp_path / "eval") == sorted([str(pretrained / "ckpt_epoch2"), *dataset_inputs(copy, "AreaA")])
     capsys.readouterr()
     assert main(["ingest", "--data", str(copy)]) == 2
     assert f"{broken}:3: expected" in capsys.readouterr().err
@@ -350,7 +366,7 @@ def test_pretrain_missing_data_path(tmp_path):
     [
         ("episode", "ways", "two", "episode.ways"),
         ("meta", "alpha", [1e-3], "meta.alpha"),
-        ("meta", "collaborative", False, "tasks_per_batch"),
+        ("meta", "collaborative", False, "meta.collaborative: unknown key"),
         ("data", "points_per_block", "abc", "data.points_per_block"),
         ("seeds", "tasks", "x", "seeds.tasks"),
         ("seeds", "init", "x", "seeds.init"),
@@ -378,6 +394,23 @@ def test_pretrain_missing_data_path(tmp_path):
         ("data", "areas", ["AreaA", 1], "data.areas"),
         ("episode", "category_mode", 5, "episode.category_mode"),
         ("meta", "gradient_mode", True, "meta.gradient_mode"),
+        # a JSON value is read only as its own type: no string number, no whole float
+        ("episode", "ways", "2", "episode.ways: cannot read '2'"),
+        ("meta", "alpha", "1e-3", "meta.alpha: cannot read '1e-3'"),
+        ("episode", "shots", 6.0, "episode.shots: cannot read 6.0"),
+        ("data", "points_per_block", "16", "data.points_per_block: cannot read '16'"),
+        ("model", "mlp1_widths", ["8"], "model.mlp1_widths: cannot read ['8']"),
+        ("model", "mlp1_widths", [8.0], "model.mlp1_widths: cannot read [8.0]"),
+        ("model", "mlp2_widths", [8.0], "model.mlp2_widths: cannot read [8.0]"),
+        ("seeds", "init", "0", "seeds.init: cannot read '0'"),
+        # a key the reader does not read
+        ("meta", "steps_per_epoc", 5, "meta.steps_per_epoc: unknown key"),
+        # a range error of the dataclass that owns the value names its dotted key
+        ("meta", "alpha", -1, "meta.alpha must be finite and > 0, got -1.0"),
+        ("episode", "ways", 0, "episode.ways, shots and query_multiplier must be >= 1"),
+        ("model", "seg_head_widths", [0], "model.seg_head_widths must be integers >= 1"),
+        ("data", "points_per_block", 0, "data.points_per_block must be an integer >= 1"),
+        ("meta", "beta_sweep", [-1], "meta.beta_sweep: beta must be finite and >= 0"),
     ],
 )
 def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):
@@ -387,7 +420,8 @@ def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, sectio
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and str(cfg_path) in err
     assert not (tmp_path / "o").exists()  # rejected before any training
 
 
@@ -399,6 +433,103 @@ def test_cross_validate_negative_eval_seed_usage_error(dataset, tmp_path, capsys
     cfg_path.write_text(json.dumps(cfg))
     assert main(["cross-validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "eval.seed" in capsys.readouterr().err
+
+
+# every key the run-config reader reads, each set to a valid value: one training step, one eval episode
+FULL_RUN_CONFIG = {
+    "data": {"root": "the dataset fixture", "areas": ["AreaA"], "points_per_block": 32},
+    "episode": {"ways": 2, "shots": 2, "queries": 1, "category_mode": "room_type"},
+    "model": {"mlp1_widths": [8, 8], "mlp2_widths": [8, 16], "seg_head_widths": [8], "use_tnet": False},
+    "meta": {"alpha": 1e-3, "beta": 1e-3, "inner_steps": 1, "tasks_per_batch": 1, "gradient_mode": "first_order",
+             "epochs": 1, "steps_per_epoch": 1, "phase_betas": [1e-3], "beta_sweep": [1e-3]},
+    "seeds": {"init": 0, "tasks": 1},
+    "eval": {"episodes": 1, "beta": 1e-3, "inner_steps": 1, "seed": 0},
+}
+# values out of the range that the reader checks, for both commands (cross-validate reads every area, so a
+# data.areas entry naming no area is not among them)
+OUT_OF_RANGE = {
+    "data.points_per_block": [0, -32],
+    "episode.ways": [0], "episode.shots": [0, -1], "episode.queries": [0], "episode.category_mode": ["room", ""],
+    "model.mlp1_widths": [[0], []], "model.mlp2_widths": [[8, -1]], "model.seg_head_widths": [[0]],
+    "meta.alpha": [0, -1, float("nan"), float("inf")], "meta.beta": [-1, float("nan")], "meta.inner_steps": [0],
+    "meta.tasks_per_batch": [0], "meta.gradient_mode": ["third_order"], "meta.epochs": [-1],
+    "meta.steps_per_epoch": [-1], "meta.phase_betas": [[float("nan")], [-1]], "meta.beta_sweep": [[-1], [1e-3, 1e-3]],
+    "seeds.init": [-1], "seeds.tasks": [-1], "eval.seed": [-1],
+}
+
+
+def retyped(value) -> list:
+    """JSON values of another type than ``value`` that a lax reader would take for it: a string number, a bool,
+    a whole float, or in place of a list its first item or a list of those."""
+    if type(value) is list:
+        return [value[0], *([other] * len(value) for other in retyped(value[0]))]
+    if type(value) is bool:
+        return [int(value), str(value).lower()]
+    if type(value) is str:
+        return [5, True]
+    return [str(value), True] + ([float(value)] if type(value) is int else [])
+
+
+@st.composite
+def config_edits(draw):
+    """One edit of ``FULL_RUN_CONFIG``: a key's value retyped or out of range, or a section or key misspelt."""
+    section = draw(st.sampled_from(sorted(FULL_RUN_CONFIG)))
+    key = draw(st.sampled_from(sorted(FULL_RUN_CONFIG[section])))
+    how = draw(st.sampled_from(["retype", "misspell section", "misspell key",
+                                *(["range"] if f"{section}.{key}" in OUT_OF_RANGE else [])]))
+    if how.startswith("misspell"):
+        name = section if how == "misspell section" else key
+        return how, section, key, draw(st.sampled_from([name[:-1], name + "s", name.title()]))
+    values = retyped(FULL_RUN_CONFIG[section][key]) if how == "retype" else OUT_OF_RANGE[f"{section}.{key}"]
+    return how, section, key, draw(st.sampled_from(values))
+
+
+def edited(cfg: dict, edits) -> dict:
+    """A copy of ``cfg`` with ``edits`` applied; misspelling a section or key that an earlier edit renamed does nothing."""
+    cfg = json.loads(json.dumps(cfg))
+    for how, section, key, value in edits:
+        if how == "misspell section" and section in cfg:
+            cfg[value] = cfg.pop(section)
+        elif how == "misspell key" and key in cfg.get(section, {}):
+            cfg[section][value] = cfg[section].pop(key)
+        elif not how.startswith("misspell"):
+            cfg.setdefault(section, {})[key] = value
+    return cfg
+
+
+@given(st.lists(config_edits(), max_size=2), st.sampled_from(["pretrain", "cross-validate"]))
+@settings(max_examples=300, deadline=None)
+def test_run_config_contract(dataset, edits, command):
+    # a run config with one or two keys edited fails with exit 2, a message naming the file and no traceback,
+    # before it trains; the unedited one trains
+    event(f"{command}, {len(edits)} edits")
+    cfg = edited({**FULL_RUN_CONFIG, "data": {**FULL_RUN_CONFIG["data"], "root": str(dataset)}}, edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "run.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        if not edits:
+            assert code == 0, err.getvalue()
+        else:
+            assert code == 2, err.getvalue()
+            assert str(cfg_path) in err.getvalue() and "Traceback" not in err.getvalue()
+            assert not out.exists()
+
+
+def test_readme_quick_start_configs_pass_the_strict_readers(tmp_path):
+    # the quick start's spec.json and run.json go through the CLI's own readers, so a doc edit cannot ship a
+    # config the CLI rejects; nothing is synthesized or trained
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    heredocs = dict(re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", readme, flags=re.M | re.S))
+    assert sorted(heredocs) == ["run.json", "spec.json"]
+    specs = _area_specs_from_json(json.loads(heredocs["spec.json"]), "README spec.json")
+    assert [spec.name for spec in specs] == ["AreaA", "AreaB", "AreaC"]
+    run_json = tmp_path / "run.json"
+    run_json.write_text(heredocs["run.json"])
+    cfg = _parse_run_config(run_json)
+    assert (cfg.root, cfg.areas) == ("data", ("AreaA", "AreaB"))
 
 
 @pytest.mark.parametrize(
@@ -761,7 +892,7 @@ def test_cross_validate_table(dataset, tmp_path):
     assert float(table["AreaB"][0]) > 0
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert inputs[str(cfg_path)] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
-    assert sorted(inputs) == sorted([str(cfg_path), *(f"{dataset}/{p.relative_to(dataset)}" for p in dataset.rglob("*") if p.is_file())])
+    assert manifest_inputs(out) == sorted([str(cfg_path), *dataset_inputs(dataset, "AreaA", "AreaB")])
 
 
 def test_gradcheck_passes_and_negative_control(capsys):
