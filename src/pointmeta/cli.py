@@ -27,26 +27,31 @@ from .autodiff import Tape, backward, cross_entropy, finite_diff_gradient, grad_
 from .data import (
     DEFAULT_CLASSES,
     DEFAULT_PALETTE,
+    Area,
     SyntheticAreaSpec,
     count_blocks,
     csv_text,
+    find_areas,
     generate_synthetic_area,
+    load_area,
     load_dataset,
     load_room,
     load_vocab,
     partition_blocks,
     featurize_block,
+    read_rooms,
     read_text,
     resample_block,
     export_ply,
-    write_dataset,
+    write_area,
     write_file,
+    write_vocab,
 )
 from .errors import CapacityError, ConfigError, DivergenceError, ValidationError
 from .metrics import metrics_report
 from .model import PointNetConfig, forward, init_params, load_checkpoint, predict_labels, save_checkpoint
 from .sampler import EpisodeSpec, build_task_distribution, index_categories
-from .trainer import MetaConfig, adapt_and_eval, pretrain
+from .trainer import MetaConfig, adapt_and_eval, check_eval, pretrain
 
 
 def _sha256_file(path) -> str:
@@ -145,12 +150,13 @@ def cmd_synth(args) -> int:
     spec = _load_json(args.spec)
     area_specs = _area_specs_from_json(spec, f"synth spec {args.spec}")
     out = Path(args.out)
-    areas = []
+    write_vocab(area_specs[0].classes, out / "vocab.txt")
     for i, area_spec in enumerate(area_specs):
         area_seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
-        areas.append(generate_synthetic_area(area_spec, seed=area_seed))
-    write_dataset(areas, area_specs[0].classes, out)
-    _print_areas(areas)
+        area = generate_synthetic_area(area_spec, seed=area_seed)
+        write_area(area, out)
+        _print_area(area)
+        del area  # before the next area is generated, so one area is alive at a time
     write_manifest(out, "synth", spec, {"seed": args.seed}, [args.spec])
     return 0
 
@@ -160,18 +166,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    areas, vocab = load_dataset(args.data)
+    directories, vocab = find_areas(args.data)
     print(f"vocabulary: {len(vocab)} classes ({', '.join(vocab)})")
-    _print_areas(areas, with_types=True)
+    for directory in directories:  # an area is read, counted and dropped before the next is read
+        _print_area(load_area(directory, vocab), with_types=True)
     return 0
 
 
-def _print_areas(areas, with_types: bool = False) -> None:
-    for area in areas:
-        n_blocks = sum(count_blocks(room) for room in area.rooms)
-        n_points = sum(len(room) for room in area.rooms)
-        types = f", types: {', '.join(sorted({room.room_type for room in area.rooms}))}" if with_types else ""
-        print(f"{area.name}: {len(area.rooms)} rooms, {n_points} points, {n_blocks} blocks{types}")
+def _print_area(area, with_types: bool = False) -> None:
+    n_blocks = sum(count_blocks(room) for room in area.rooms)
+    n_points = sum(len(room) for room in area.rooms)
+    types = f", types: {', '.join(sorted({room.room_type for room in area.rooms}))}" if with_types else ""
+    print(f"{area.name}: {len(area.rooms)} rooms, {n_points} points, {n_blocks} blocks{types}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +313,8 @@ def _parse_run_config(path) -> RunConfig:
     eval_episodes = field("eval.episodes", integer, 20)
     eval_beta = field("eval.beta", number, meta.beta)
     eval_steps = field("eval.inner_steps", integer, meta.inner_steps)
+    # checked here too, so cross-validate stops before its first area trains
+    _checked(f"{source} eval.", check_eval, eval_episodes, eval_steps, eval_beta)
     eval_seed = field("eval.seed", non_negative_int, 0)
     unread = [section for section in cfg if section not in read]
     unread += [f"{section}.{key}" for section, keys in read.items() for key in cfg.get(section, {}) if key not in keys]
@@ -316,8 +324,30 @@ def _parse_run_config(path) -> RunConfig:
 
 
 def _dataset_inputs(root, areas) -> list[str]:
-    """The paths under the data ``root`` that loading ``areas`` read: the vocabulary and each area's directory."""
+    """The paths under the data ``root`` that reading ``areas`` read: the vocabulary and each area's directory.
+
+    An ``Area`` and an area's directory path both name the area by ``.name``.
+    """
     return [f"{root}/vocab.txt", *(f"{root}/{area.name}" for area in areas)]
+
+
+def _room_by_room(directories, vocab):
+    """Each room of the area ``directories`` as a one-room ``Area``, read only when the consumer asks for it.
+
+    An index built from it drops each room once it is partitioned, so it never holds the dataset.
+    """
+    for directory in directories:
+        for room in read_rooms(directory, vocab):
+            yield Area(directory.name, [room], vocab)
+
+
+def _index(cfg: RunConfig, areas):
+    return index_categories(areas, mode=cfg.spec.category_mode, points_per_block=cfg.model.points_per_block)
+
+
+def _runs(cfg: RunConfig, out: Path) -> list[tuple[MetaConfig, Path]]:
+    """The meta config and output directory of each run: one per swept beta under ``beta_<b>/``, else one in ``out``."""
+    return [(swept, out / f"beta_{swept.beta:g}") for swept in cfg.sweep] or [(cfg.meta, out)]
 
 
 def write_loss_csv(history, path) -> None:
@@ -325,9 +355,7 @@ def write_loss_csv(history, path) -> None:
     write_file(path, csv_text([["step", "query_loss", "beta", "alpha"], *rows]))
 
 
-def _run_pretrain(cfg: RunConfig, meta: MetaConfig, seeds: dict, areas, vocab, out: Path):
-    model = replace(cfg.model, num_classes=len(vocab))
-    index = index_categories(areas, mode=cfg.spec.category_mode, points_per_block=model.points_per_block)
+def _run_pretrain(cfg: RunConfig, meta: MetaConfig, seeds: dict, index, model: PointNetConfig, out: Path):
     needed = meta.epochs * meta.steps_per_epoch * meta.tasks_per_batch
     dist = build_task_distribution(index, cfg.spec, count=needed, seed=seeds["tasks"])
 
@@ -340,19 +368,21 @@ def _run_pretrain(cfg: RunConfig, meta: MetaConfig, seeds: dict, areas, vocab, o
         write_loss_csv(exc.last_state.history, out / "loss.csv")
         raise
     write_loss_csv(state.history, out / "loss.csv")
-    return state, model
+    return state
 
 
 def cmd_pretrain(args) -> int:
     cfg = _parse_run_config(args.config)
     seeds = cfg.seeds if args.seed is None else {**cfg.seeds, "init": args.seed}
-    areas, vocab = _checked(f"run config {args.config} data.areas: ", load_dataset, cfg.root, cfg.areas)
+    directories, vocab = _checked(f"run config {args.config} data.areas: ", find_areas, cfg.root, cfg.areas)
+    index = _index(cfg, _room_by_room(directories, vocab))  # once, for every swept beta
+    model = replace(cfg.model, num_classes=len(vocab))
     out = Path(args.out)
-    for run_meta, run_out in [(swept, out / f"beta_{swept.beta:g}") for swept in cfg.sweep] or [(cfg.meta, out)]:
-        state, _ = _run_pretrain(cfg, run_meta, seeds, areas, vocab, run_out)
+    for run_meta, run_out in _runs(cfg, out):
+        state = _run_pretrain(cfg, run_meta, seeds, index, model, run_out)
         final = f"{state.losses[-1]:.4f}" if state.losses else "n/a"
         print(f"beta={run_meta.beta:g}: pretrained {len(state.history)} steps, final query loss {final}")
-    inputs = [args.config, *_dataset_inputs(cfg.root, areas)]
+    inputs = [args.config, *_dataset_inputs(cfg.root, directories)]
     write_manifest(out, "pretrain", cfg.loaded, seeds, inputs, dtype=state.theta.dtype)
     return 0
 
@@ -368,13 +398,13 @@ def _check_classes(model: PointNetConfig, vocab) -> None:
 
 def cmd_adapt_eval(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
-    areas, vocab = load_dataset(args.data, args.areas.split(",") if args.areas else ())
+    directories, vocab = find_areas(args.data, args.areas.split(",") if args.areas else ())
     _check_classes(model, vocab)
     spec = EpisodeSpec(ways=args.ways, shots=args.shots, query_multiplier=args.queries)
     report = adapt_and_eval(
         theta,
         model,
-        areas,
+        _room_by_room(directories, vocab),
         spec,
         episodes=args.episodes,
         rng=np.random.default_rng(args.seed),
@@ -393,7 +423,7 @@ def cmd_adapt_eval(args) -> int:
     )
     print(summary)
     settings = {key: vars(args)[key] for key in ("ways", "shots", "queries", "episodes", "beta", "inner_steps", "points_per_block")}
-    inputs = [args.checkpoint, *_dataset_inputs(args.data, areas)]
+    inputs = [args.checkpoint, *_dataset_inputs(args.data, directories)]
     write_manifest(out, "adapt-eval", settings, {"seed": args.seed}, inputs, dtype=theta.dtype)
     return 0
 
@@ -404,25 +434,30 @@ def cmd_adapt_eval(args) -> int:
 
 def cmd_cross_validate(args) -> int:
     cfg = _parse_run_config(args.config)
-    areas, vocab = load_dataset(cfg.root)
+    # every area is both a source and a target, so all are read up front
+    areas, vocab = _checked(f"run config {args.config} data.areas: ", load_dataset, cfg.root, cfg.areas)
+    model = replace(cfg.model, num_classes=len(vocab))
     out = Path(args.out)
 
     names = [a.name for a in areas]
-    table = {test: {src: "" for src in names} for test in names}
-    for source in areas:
-        state, model = _run_pretrain(cfg, cfg.meta, cfg.seeds, [source], vocab, out / f"pretrain_{source.name}")
-        for target in areas:
-            if target.name == source.name:
-                continue
-            report = adapt_and_eval(
-                state.theta, model, [target], cfg.spec, episodes=cfg.eval_episodes,
-                rng=np.random.default_rng([cfg.eval_seed, names.index(source.name), names.index(target.name)]),
-                beta=cfg.eval_beta, inner_steps=cfg.eval_steps,
-            )
-            table[target.name][source.name] = repr(report.overall.oacc)
-            print(f"pretrain {source.name} -> test {target.name}: oAcc {report.overall.oacc:.4f}")
-    rows = [[test] + [table[test][src] for src in names] for test in names]
-    write_file(out / "crossval.csv", csv_text([["test_area"] + names, *rows]))
+    for run_meta, run_out in _runs(cfg, out):
+        swept = f"beta={run_meta.beta:g}: " if cfg.sweep else ""
+        table = {test: {src: "" for src in names} for test in names}
+        for source in areas:
+            index = _index(cfg, source)
+            state = _run_pretrain(cfg, run_meta, cfg.seeds, index, model, run_out / f"pretrain_{source.name}")
+            for target in areas:
+                if target.name == source.name:
+                    continue
+                report = adapt_and_eval(
+                    state.theta, model, [target], cfg.spec, episodes=cfg.eval_episodes,
+                    rng=np.random.default_rng([cfg.eval_seed, names.index(source.name), names.index(target.name)]),
+                    beta=cfg.eval_beta, inner_steps=cfg.eval_steps,
+                )
+                table[target.name][source.name] = repr(report.overall.oacc)
+                print(f"{swept}pretrain {source.name} -> test {target.name}: oAcc {report.overall.oacc:.4f}")
+        rows = [[test] + [table[test][src] for src in names] for test in names]
+        write_file(run_out / "crossval.csv", csv_text([["test_area"] + names, *rows]))
     inputs = [args.config, *_dataset_inputs(cfg.root, areas)]
     write_manifest(out, "cross-validate", cfg.loaded, cfg.seeds | {"eval": cfg.eval_seed}, inputs)
     return 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -301,34 +302,53 @@ def write_room(room: Room, path) -> None:
     write_file(path, _format_rows(room.xyz, np.column_stack([room.rgb, room.labels])))
 
 
-def load_area(directory, vocab) -> Area:
-    directory = Path(directory)
-    rooms = [load_room(p, vocab) for p in sorted(directory.glob("*.txt"))]
-    if not rooms:
+def read_rooms(directory, vocab) -> Iterator[Room]:
+    """The rooms of one area directory in file name order, each parsed only when the caller asks for it.
+
+    So a caller that drops each room before asking for the next holds one room at a time.
+    """
+    paths = sorted(Path(directory).glob("*.txt"))
+    if not paths:
         raise ValidationError(f"{directory}: no room files found")
-    return Area(name=directory.name, rooms=rooms, classes=tuple(vocab))
+    for path in paths:
+        yield load_room(path, vocab)
 
 
-def load_dataset(root, names=()) -> tuple[list[Area], tuple[str, ...]]:
-    """The shared vocab.txt and, in name order, the areas under ``root`` named in ``names`` (all when empty); no other is read."""
+def load_area(directory, vocab) -> Area:
+    return Area(name=Path(directory).name, rooms=list(read_rooms(directory, vocab)), classes=tuple(vocab))
+
+
+def find_areas(root, names=()) -> tuple[list[Path], tuple[str, ...]]:
+    """The shared vocab.txt and, in name order, the directories under ``root`` of the areas named in ``names``
+    (all when empty); no room is read."""
     root = Path(root)
     vocab = load_vocab(root / "vocab.txt")
     present = sorted(p.name for p in root.iterdir() if p.is_dir())
     unknown = sorted(set(names) - set(present))
     if unknown:
         raise ConfigError(f"{root} has no areas {unknown}; it has {present}")
-    areas = [load_area(root / name, vocab) for name in present if not names or name in names]
-    if not areas:
+    directories = [root / name for name in present if not names or name in names]
+    if not directories:
         raise ValidationError(f"{root}: no area directories found")
-    return areas, vocab
+    return directories, vocab
+
+
+def load_dataset(root, names=()) -> tuple[list[Area], tuple[str, ...]]:
+    """``find_areas(root, names)`` with every area read."""
+    directories, vocab = find_areas(root, names)
+    return [load_area(directory, vocab) for directory in directories], vocab
+
+
+def write_area(area: Area, root) -> None:
+    """Each room of ``area`` as ``<root>/<area name>/<room name>.txt``."""
+    for room in area.rooms:
+        write_room(room, Path(root) / area.name / f"{room.name}.txt")
 
 
 def write_dataset(areas, classes, root) -> None:
-    root = Path(root)
-    write_vocab(classes, root / "vocab.txt")
+    write_vocab(classes, Path(root) / "vocab.txt")
     for area in areas:
-        for room in area.rooms:
-            write_room(room, root / area.name / f"{room.name}.txt")
+        write_area(area, root)
 
 
 # ---------------------------------------------------------------------------

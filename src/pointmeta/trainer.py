@@ -240,6 +240,16 @@ class EvalReport:
         return float(np.mean([m.miou for m in self.per_episode]))
 
 
+def check_eval(episodes: int, inner_steps: int, beta: float) -> None:
+    """The ranges ``adapt_and_eval`` takes; each message begins with the argument it rejects."""
+    if episodes < 1:
+        raise ConfigError(f"episodes must be >= 1, got {episodes}")
+    if inner_steps < 0:
+        raise ConfigError(f"inner_steps must be >= 0, got {inner_steps}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ConfigError(f"beta must be finite and >= 0, got {beta}")
+
+
 def adapt_and_eval(
     theta: ParamStore,
     model: PointNetConfig,
@@ -252,12 +262,7 @@ def adapt_and_eval(
     points_per_block: int | None = None,
 ) -> EvalReport:
     """Sample episodes from the target areas, adapt on S, score on Q."""
-    if episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {episodes}")
-    if inner_steps < 0:
-        raise ConfigError(f"inner_steps must be >= 0, got {inner_steps}")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ConfigError(f"beta must be finite and >= 0, got {beta}")
+    check_eval(episodes, inner_steps, beta)
     if points_per_block is not None and points_per_block < 1:
         raise ConfigError(f"points_per_block must be >= 1 or None (the model's), got {points_per_block}")
     points = model.points_per_block if points_per_block is None else points_per_block

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import re
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,9 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from pointmeta.cli import _area_specs_from_json, _parse_run_config, main
-from pointmeta.data import DEFAULT_CLASSES, DEFAULT_PALETTE
+from pointmeta.data import DEFAULT_CLASSES, DEFAULT_PALETTE, load_dataset
 from pointmeta.model import load_checkpoint
+from pointmeta.sampler import index_categories
 
 SYNTH_SPEC = {
     "density": 40,
@@ -90,7 +93,7 @@ def test_synth_layout_and_determinism(dataset, tmp_path):
 
 
 def test_synth_block_counts_match_partitioner(dataset, tmp_path, capsys):
-    from pointmeta.data import load_dataset, partition_blocks
+    from pointmeta.data import partition_blocks
 
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SYNTH_SPEC))
@@ -224,6 +227,42 @@ def test_ingest_prints_stats(dataset, capsys):
 
 def test_ingest_missing_dir(tmp_path):
     assert main(["ingest", "--data", str(tmp_path / "nope")]) in (2, 5)
+
+
+def test_commands_hold_one_area_or_room(tmp_path):
+    # ingest holds one area at a time, and pretrain and adapt-eval build their index one room at a time, so
+    # each command's traced peak stays below what holding every room it reads would take
+    spec = {"density": 40, "areas": [{"name": name, "rooms": {"office": 3, "hallway": 3, "storage": 3}}
+                                     for name in ("AreaA", "AreaB", "AreaC")]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
+    cfg = json.loads(json.dumps(RUN_CONFIG))
+    cfg["data"] |= {"root": str(data), "areas": ["AreaA", "AreaB"]}
+    cfg["meta"] |= {"epochs": 1, "steps_per_epoch": 0}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+
+    def peak(*argv) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([str(arg) for arg in argv]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def nbytes(items) -> int:
+        return sum(item.xyz.nbytes + item.rgb.nbytes + item.labels.nbytes for item in items)
+
+    areas, _ = load_dataset(data)
+    assert peak("ingest", "--data", data) < nbytes(room for area in areas for room in area.rooms)
+    read = areas[:2]
+    held = nbytes(room for area in read for room in area.rooms)
+    held += nbytes(index_categories(read, points_per_block=32)._blocks.values())
+    assert peak("pretrain", "--config", tmp_path / "cfg.json", "--out", tmp_path / "run") < held
+    assert peak("adapt-eval", "--checkpoint", tmp_path / "run" / "ckpt_epoch1", "--data", data, "--areas",
+                "AreaA,AreaB", "--shots", "2", "--episodes", "2", "--out", tmp_path / "eval") < held
 
 
 @pytest.mark.parametrize("target", ["AreaA/office_1.txt", "vocab.txt"])
@@ -435,6 +474,28 @@ def test_cross_validate_negative_eval_seed_usage_error(dataset, tmp_path, capsys
     assert "eval.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("episodes", 0, "eval.episodes must be >= 1, got 0"),
+        ("inner_steps", -1, "eval.inner_steps must be >= 0, got -1"),
+        ("beta", -1, "eval.beta must be finite and >= 0, got -1.0"),
+        ("beta", float("nan"), "eval.beta must be finite and >= 0, got nan"),
+    ],
+)
+def test_cross_validate_bad_eval_value_usage_error(dataset, tmp_path, capsys, key, value, named):
+    # rejected by the reader, before the first area trains
+    cfg = json.loads(json.dumps(RUN_CONFIG))
+    cfg["data"]["root"] = str(dataset)
+    del cfg["data"]["areas"]
+    cfg["eval"] = {key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cross-validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"run config {cfg_path} {named}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # every key the run-config reader reads, each set to a valid value: one training step, one eval episode
 FULL_RUN_CONFIG = {
     "data": {"root": "the dataset fixture", "areas": ["AreaA"], "points_per_block": 32},
@@ -445,8 +506,7 @@ FULL_RUN_CONFIG = {
     "seeds": {"init": 0, "tasks": 1},
     "eval": {"episodes": 1, "beta": 1e-3, "inner_steps": 1, "seed": 0},
 }
-# values out of the range that the reader checks, for both commands (cross-validate reads every area, so a
-# data.areas entry naming no area is not among them)
+# values out of the range that the reader checks, for both commands
 OUT_OF_RANGE = {
     "data.points_per_block": [0, -32],
     "episode.ways": [0], "episode.shots": [0, -1], "episode.queries": [0], "episode.category_mode": ["room", ""],
@@ -454,7 +514,8 @@ OUT_OF_RANGE = {
     "meta.alpha": [0, -1, float("nan"), float("inf")], "meta.beta": [-1, float("nan")], "meta.inner_steps": [0],
     "meta.tasks_per_batch": [0], "meta.gradient_mode": ["third_order"], "meta.epochs": [-1],
     "meta.steps_per_epoch": [-1], "meta.phase_betas": [[float("nan")], [-1]], "meta.beta_sweep": [[-1], [1e-3, 1e-3]],
-    "seeds.init": [-1], "seeds.tasks": [-1], "eval.seed": [-1],
+    "seeds.init": [-1], "seeds.tasks": [-1], "eval.seed": [-1], "data.areas": [["Nope"]],
+    "eval.episodes": [0], "eval.inner_steps": [-1], "eval.beta": [-1, float("nan")],
 }
 
 
@@ -872,7 +933,7 @@ def test_export_ply_bad_palette_usage_error(dataset, pretrained, tmp_path, capsy
     assert not (tmp_path / "ply").exists()
 
 
-def test_cross_validate_table(dataset, tmp_path):
+def test_cross_validate_table(dataset, tmp_path, capsys):
     cfg = json.loads(json.dumps(RUN_CONFIG))
     cfg["data"]["root"] = str(dataset)
     del cfg["data"]["areas"]
@@ -893,6 +954,30 @@ def test_cross_validate_table(dataset, tmp_path):
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert inputs[str(cfg_path)] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
     assert manifest_inputs(out) == sorted([str(cfg_path), *dataset_inputs(dataset, "AreaA", "AreaB")])
+
+    # with data.areas the folds run over the areas it names (a malformed AreaC is never read), once per swept beta
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    shutil.copytree(copy / "AreaA", copy / "AreaC")
+    (copy / "AreaC" / "office_1.txt").write_text("1 2 3 x y z 0\n")
+    cfg["data"] |= {"root": str(copy), "areas": ["AreaA", "AreaB"]}
+    cfg["meta"]["beta_sweep"] = [1e-2, 1e-4]
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "cv_sweep"
+    capsys.readouterr()
+    assert main(["cross-validate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["beta_0.0001", "beta_0.01", "manifest.json"]
+    printed = capsys.readouterr().out.splitlines()
+    for beta in ("0.01", "0.0001"):
+        with open(out / f"beta_{beta}" / "crossval.csv") as fh:
+            assert next(csv.reader(fh)) == ["test_area", "AreaA", "AreaB"]
+        for source in ("AreaA", "AreaB"):
+            with open(out / f"beta_{beta}" / f"pretrain_{source}" / "loss.csv") as fh:
+                assert {row[2] for row in list(csv.reader(fh))[1:]} == {repr(float(beta))}
+        assert [line.split(": oAcc")[0] for line in printed if line.startswith(f"beta={beta}: ")] == [
+            f"beta={beta}: pretrain AreaA -> test AreaB", f"beta={beta}: pretrain AreaB -> test AreaA"]
+    assert manifest_inputs(out) == sorted([str(cfg_path), *dataset_inputs(copy, "AreaA", "AreaB")])
 
 
 def test_gradcheck_passes_and_negative_control(capsys):
