@@ -34,7 +34,6 @@ from .data import (
     find_areas,
     generate_synthetic_area,
     load_area,
-    load_dataset,
     load_room,
     load_vocab,
     partition_blocks,
@@ -291,7 +290,6 @@ def _parse_run_config(path) -> RunConfig:
         gradient_mode=field("meta.gradient_mode", _exactly(str), "first_order"),
         epochs=field("meta.epochs", integer, 1),
         steps_per_epoch=field("meta.steps_per_epoch", integer, 0),
-        phase_betas=field("meta.phase_betas", _list_of(number), ()) or None,
     )
     # every swept beta is range-checked, and given a directory of its own, before the first run trains
     rates = field("meta.beta_sweep", _list_of(number), ())
@@ -350,14 +348,15 @@ def _runs(cfg: RunConfig, out: Path) -> list[tuple[MetaConfig, Path]]:
     return [(swept, out / f"beta_{swept.beta:g}") for swept in cfg.sweep] or [(cfg.meta, out)]
 
 
-def write_loss_csv(history, path) -> None:
-    rows = [[step, repr(float(loss)), repr(float(beta)), repr(float(alpha))] for step, loss, beta, alpha in history]
+def write_loss_csv(history, meta: MetaConfig, path) -> None:
+    """One row per step of ``history``; beta and alpha are the run's, the same on every row."""
+    rates = [repr(float(meta.beta)), repr(float(meta.alpha))]
+    rows = [[step, repr(float(loss)), *rates] for step, loss in history]
     write_file(path, csv_text([["step", "query_loss", "beta", "alpha"], *rows]))
 
 
 def _run_pretrain(cfg: RunConfig, meta: MetaConfig, seeds: dict, index, model: PointNetConfig, out: Path):
-    needed = meta.epochs * meta.steps_per_epoch * meta.tasks_per_batch
-    dist = build_task_distribution(index, cfg.spec, count=needed, seed=seeds["tasks"])
+    dist = build_task_distribution(index, cfg.spec, count=meta.episodes, seed=seeds["tasks"])
 
     def hook(epoch, state):
         save_checkpoint(out / f"ckpt_epoch{epoch}", model, state.theta)
@@ -365,9 +364,9 @@ def _run_pretrain(cfg: RunConfig, meta: MetaConfig, seeds: dict, index, model: P
     try:
         state = pretrain(dist, meta, model, init_seed=seeds["init"], checkpoint_hook=hook)
     except DivergenceError as exc:
-        write_loss_csv(exc.last_state.history, out / "loss.csv")
+        write_loss_csv(exc.last_state.history, meta, out / "loss.csv")
         raise
-    write_loss_csv(state.history, out / "loss.csv")
+    write_loss_csv(state.history, meta, out / "loss.csv")
     return state
 
 
@@ -391,15 +390,15 @@ def cmd_pretrain(args) -> int:
 # adapt-eval
 
 
-def _check_classes(model: PointNetConfig, vocab) -> None:
+def _check_classes(model: PointNetConfig, vocab, path) -> None:
     if len(vocab) != model.num_classes:
-        raise ConfigError(f"vocabulary size {len(vocab)} != checkpoint classes {model.num_classes}")
+        raise ConfigError(f"{path}: vocabulary size {len(vocab)} != checkpoint classes {model.num_classes}")
 
 
 def cmd_adapt_eval(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     directories, vocab = find_areas(args.data, args.areas.split(",") if args.areas else ())
-    _check_classes(model, vocab)
+    _check_classes(model, vocab, Path(args.data) / "vocab.txt")
     spec = EpisodeSpec(ways=args.ways, shots=args.shots, query_multiplier=args.queries)
     report = adapt_and_eval(
         theta,
@@ -434,12 +433,15 @@ def cmd_adapt_eval(args) -> int:
 
 def cmd_cross_validate(args) -> int:
     cfg = _parse_run_config(args.config)
+    directories, vocab = _checked(f"run config {args.config} data.areas: ", find_areas, cfg.root, cfg.areas)
+    names = [d.name for d in directories]
+    if len(names) < 2:  # a table of one area has no cell to fill, so nothing is trained
+        raise ConfigError(f"run config {args.config} data.areas: cross-validate needs at least two areas, got {names}")
     # every area is both a source and a target, so all are read up front
-    areas, vocab = _checked(f"run config {args.config} data.areas: ", load_dataset, cfg.root, cfg.areas)
+    areas = [load_area(directory, vocab) for directory in directories]
     model = replace(cfg.model, num_classes=len(vocab))
     out = Path(args.out)
 
-    names = [a.name for a in areas]
     for run_meta, run_out in _runs(cfg, out):
         swept = f"beta={run_meta.beta:g}: " if cfg.sweep else ""
         table = {test: {src: "" for src in names} for test in names}
@@ -459,7 +461,7 @@ def cmd_cross_validate(args) -> int:
         rows = [[test] + [table[test][src] for src in names] for test in names]
         write_file(run_out / "crossval.csv", csv_text([["test_area"] + names, *rows]))
     inputs = [args.config, *_dataset_inputs(cfg.root, areas)]
-    write_manifest(out, "cross-validate", cfg.loaded, cfg.seeds | {"eval": cfg.eval_seed}, inputs)
+    write_manifest(out, "cross-validate", cfg.loaded, cfg.seeds | {"eval": cfg.eval_seed}, inputs, dtype=state.theta.dtype)
     return 0
 
 
@@ -478,14 +480,12 @@ def _load_palette(path) -> dict[int, tuple[int, int, int]]:
 def cmd_export_ply(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
-    _check_classes(model, vocab)
+    _check_classes(model, vocab, args.vocab)
     room = load_room(args.room, vocab)
-    palette = dict(DEFAULT_PALETTE)
-    if args.palette:
-        palette = _load_palette(args.palette)
+    palette = _load_palette(args.palette) if args.palette else dict(DEFAULT_PALETTE)
     missing = [i for i in range(model.num_classes) if i not in palette]
     if missing:
-        raise ConfigError(f"palette missing colors for classes {missing}")
+        raise ConfigError(f"palette {args.palette or '(default)'}: missing colors for classes {missing}")
     out = Path(args.out)
     written = 0
     for k, block in enumerate(partition_blocks(room)):

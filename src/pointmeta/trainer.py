@@ -25,7 +25,7 @@ problems; a set's loss is their mean, and each term is seeded with 1/(its set's 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,29 +51,23 @@ class MetaConfig:
     gradient_mode: str = "first_order"
     epochs: int = 1
     steps_per_epoch: int = 0
-    phase_betas: tuple[float, ...] | None = None  # optional decay schedule
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
-        for key, beta in [("beta", self.beta)] + [("phase_betas", b) for b in self.phase_betas or ()]:
-            if not (math.isfinite(beta) and beta >= 0):
-                raise ConfigError(f"{key} must be finite and >= 0, got {beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.inner_steps < 1 or self.tasks_per_batch < 1:
             raise ConfigError("inner_steps and tasks_per_batch must be >= 1")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ConfigError(f"gradient_mode must be one of {GRADIENT_MODES}")
         if self.epochs < 0 or self.steps_per_epoch < 0:
             raise ConfigError("epochs and steps_per_epoch must be >= 0")
-        if self.phase_betas is not None and len(self.phase_betas) == 0:
-            raise ConfigError("phase_betas must be non-empty when given")
 
-    def beta_for_epoch(self, epoch: int) -> float:
-        if not self.phase_betas:
-            return self.beta
-        # contiguous phases of equal length (the last phase absorbs the rest)
-        per_phase = max(self.epochs // len(self.phase_betas), 1)
-        return self.phase_betas[min(epoch // per_phase, len(self.phase_betas) - 1)]
+    @property
+    def episodes(self) -> int:
+        """The episodes the schedule trains on: ``tasks_per_batch`` per step of every epoch."""
+        return self.epochs * self.steps_per_epoch * self.tasks_per_batch
 
 
 @dataclass
@@ -161,7 +155,7 @@ def meta_gradient(theta: ParamStore, tasks, config: MetaConfig) -> tuple[dict[st
 class TrainState:
     theta: ParamStore
     step: int = 0
-    history: list = field(default_factory=list)  # (step, query_loss, beta, alpha)
+    history: list = field(default_factory=list)  # (step, query_loss); beta and alpha are the run's MetaConfig
 
     @property
     def losses(self) -> list[float]:
@@ -181,7 +175,7 @@ def meta_step(state: TrainState, tasks, config: MetaConfig) -> TrainState:
     return TrainState(
         theta=theta,
         step=state.step + 1,
-        history=state.history + [(state.step, loss, config.beta, config.alpha)],
+        history=state.history + [(state.step, loss)],
     )
 
 
@@ -198,21 +192,19 @@ def pretrain(
     and after every epoch; the CLI uses it to write checkpoint files.  On
     divergence the exception carries the last good state.
     """
-    total = config.epochs * config.steps_per_epoch * config.tasks_per_batch
-    if len(distribution) < total:
+    if len(distribution) < config.episodes:
         raise ConfigError(
-            f"schedule needs {total} episodes but the distribution only has {len(distribution)}"
+            f"schedule needs {config.episodes} episodes but the distribution only has {len(distribution)}"
         )
     state = TrainState(theta=init_params(model, init_seed))
     if checkpoint_hook:
         checkpoint_hook(0, state)
     for epoch in range(config.epochs):
-        epoch_config = replace(config, beta=config.beta_for_epoch(epoch))
         for _ in range(config.steps_per_epoch):
             start = state.step * config.tasks_per_batch
             tasks = [SegmentationTask(distribution[start + i], model) for i in range(config.tasks_per_batch)]
             try:
-                state = meta_step(state, tasks, epoch_config)
+                state = meta_step(state, tasks, config)
             except DivergenceError as exc:
                 exc.last_state = state
                 raise

@@ -409,7 +409,7 @@ def test_pretrain_missing_data_path(tmp_path):
         ("data", "points_per_block", "abc", "data.points_per_block"),
         ("seeds", "tasks", "x", "seeds.tasks"),
         ("seeds", "init", "x", "seeds.init"),
-        ("meta", "phase_betas", 5, "meta.phase_betas"),
+        ("meta", "phase_betas", 5, "meta.phase_betas"),  # an unknown key, whatever its value
         ("model", "mlp1_widths", 8, "model.mlp1_widths"),
         ("model", "use_tnet", "no", "model.use_tnet"),
         ("model", "input_dim", 8, "model.input_dim"),
@@ -418,7 +418,7 @@ def test_pretrain_missing_data_path(tmp_path):
         ("meta", "beta", float("nan"), "beta"),
         ("meta", "beta_sweep", [float("nan")], "beta"),
         ("meta", "beta_sweep", [1e-2, float("nan")], "beta"),
-        ("meta", "phase_betas", [1e-3, float("nan")], "phase_betas"),
+        ("meta", "phase_betas", [1e-3, float("nan")], "phase_betas"),  # an unknown key, whatever its value
         ("seeds", "init", -1, "seeds.init"),
         ("seeds", "tasks", -1, "seeds.tasks"),
         ("episode", "shots", 6.5, "episode.shots"),
@@ -450,6 +450,8 @@ def test_pretrain_missing_data_path(tmp_path):
         ("model", "seg_head_widths", [0], "model.seg_head_widths must be integers >= 1"),
         ("data", "points_per_block", 0, "data.points_per_block must be an integer >= 1"),
         ("meta", "beta_sweep", [-1], "meta.beta_sweep: beta must be finite and >= 0"),
+        # beta is one rate per run, so the per-epoch schedule that overrode every swept rate is not read
+        ("meta", "phase_betas", [5e-2], "meta.phase_betas: unknown key"),
     ],
 )
 def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):
@@ -496,13 +498,31 @@ def test_cross_validate_bad_eval_value_usage_error(dataset, tmp_path, capsys, ke
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("named", [True, False], ids=["named", "only_area_under_root"])
+def test_cross_validate_needs_two_areas(dataset, tmp_path, capsys, named):
+    # a table of one area has no cell to fill, so the command stops before it trains
+    cfg = json.loads(json.dumps(RUN_CONFIG))  # data.areas names AreaA only
+    cfg["data"]["root"] = str(dataset)
+    if not named:  # no data.areas, and a data root holding AreaA alone
+        cfg["data"]["root"] = str(tmp_path / "data")
+        del cfg["data"]["areas"]
+        shutil.copytree(dataset / "AreaA", tmp_path / "data" / "AreaA")
+        shutil.copy(dataset / "vocab.txt", tmp_path / "data" / "vocab.txt")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cross-validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: run config {cfg_path} data.areas: cross-validate needs at least two areas, got ['AreaA']\n")
+    assert not (tmp_path / "o").exists()
+
+
 # every key the run-config reader reads, each set to a valid value: one training step, one eval episode
 FULL_RUN_CONFIG = {
-    "data": {"root": "the dataset fixture", "areas": ["AreaA"], "points_per_block": 32},
+    "data": {"root": "the dataset fixture", "areas": ["AreaA", "AreaB"], "points_per_block": 32},
     "episode": {"ways": 2, "shots": 2, "queries": 1, "category_mode": "room_type"},
     "model": {"mlp1_widths": [8, 8], "mlp2_widths": [8, 16], "seg_head_widths": [8], "use_tnet": False},
     "meta": {"alpha": 1e-3, "beta": 1e-3, "inner_steps": 1, "tasks_per_batch": 1, "gradient_mode": "first_order",
-             "epochs": 1, "steps_per_epoch": 1, "phase_betas": [1e-3], "beta_sweep": [1e-3]},
+             "epochs": 1, "steps_per_epoch": 1, "beta_sweep": [1e-3]},
     "seeds": {"init": 0, "tasks": 1},
     "eval": {"episodes": 1, "beta": 1e-3, "inner_steps": 1, "seed": 0},
 }
@@ -513,7 +533,7 @@ OUT_OF_RANGE = {
     "model.mlp1_widths": [[0], []], "model.mlp2_widths": [[8, -1]], "model.seg_head_widths": [[0]],
     "meta.alpha": [0, -1, float("nan"), float("inf")], "meta.beta": [-1, float("nan")], "meta.inner_steps": [0],
     "meta.tasks_per_batch": [0], "meta.gradient_mode": ["third_order"], "meta.epochs": [-1],
-    "meta.steps_per_epoch": [-1], "meta.phase_betas": [[float("nan")], [-1]], "meta.beta_sweep": [[-1], [1e-3, 1e-3]],
+    "meta.steps_per_epoch": [-1], "meta.beta_sweep": [[-1], [1e-3, 1e-3]],
     "seeds.init": [-1], "seeds.tasks": [-1], "eval.seed": [-1], "data.areas": [["Nope"]],
     "eval.episodes": [0], "eval.inner_steps": [-1], "eval.beta": [-1, float("nan")],
 }
@@ -637,11 +657,14 @@ def test_pretrain_beta_sweep(dataset, tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "sweep"
     assert main(["pretrain", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # each run trains at its own rate, and every row of its loss.csv records that rate
+    thetas = []
     for beta in ("0.01", "0.001", "0.0001"):
-        assert (out / f"beta_{beta}" / "loss.csv").exists()
-    with open(out / "beta_0.01" / "loss.csv") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[1][2] == repr(0.01)
+        with open(out / f"beta_{beta}" / "loss.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[2] for row in rows[1:]] == [repr(float(beta))] * 2
+        thetas.append((out / f"beta_{beta}" / "ckpt_epoch1").read_bytes())
+    assert len(set(thetas)) == 3
     assert capsys.readouterr().out == "".join(run_line(beta, out / f"beta_{beta}") for beta in ("0.01", "0.001", "0.0001"))
 
 
@@ -951,9 +974,10 @@ def test_cross_validate_table(dataset, tmp_path, capsys):
     assert table["AreaA"][0] == ""  # empty diagonal
     assert table["AreaB"][1] == ""
     assert float(table["AreaB"][0]) > 0
-    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    assert inputs[str(cfg_path)] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"][str(cfg_path)] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
     assert manifest_inputs(out) == sorted([str(cfg_path), *dataset_inputs(dataset, "AreaA", "AreaB")])
+    assert manifest["dtype"] == "float32"  # it trains and adapts
 
     # with data.areas the folds run over the areas it names (a malformed AreaC is never read), once per swept beta
     copy = tmp_path / "data"

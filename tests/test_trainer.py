@@ -372,13 +372,13 @@ def test_meta_step_divergence_factor():
     # and the error names the step being taken by its loss.csv index, as a NaN loss does
     config = config_with()
     assert meta_step(TrainState(theta=quad_theta(0.0)), [QuadraticTask(1.0, 2.0)], config).step == 1
-    calm = TrainState(theta=quad_theta(0.0), step=3, history=[(0, 1.0, 0.25, 0.1)])
+    calm = TrainState(theta=quad_theta(0.0), step=3, history=[(0, 1.0)])
     assert meta_step(calm, [QuadraticTask(1.0, 2.0)], config).step == 4
-    tiny_start = TrainState(theta=quad_theta(0.0), step=3, history=[(0, 1e-4, 0.25, 0.1)])
+    tiny_start = TrainState(theta=quad_theta(0.0), step=3, history=[(0, 1e-4)])
     with pytest.raises(DivergenceError) as info:
         meta_step(tiny_start, [QuadraticTask(1.0, 2.0)], config)
     assert info.value.step == 3 and "step 3: query loss 2.25 exceeded" in str(info.value)
-    blown_up = TrainState(theta=quad_theta(np.inf), step=3, history=[(0, 1.0, 0.25, 0.1)])
+    blown_up = TrainState(theta=quad_theta(np.inf), step=3, history=[(0, 1.0)])
     with pytest.raises(DivergenceError) as info, np.errstate(invalid="ignore"):
         meta_step(blown_up, [QuadraticTask(1.0, 2.0)], config)
     assert info.value.step == 3 and "step 3: query loss became nan" in str(info.value)
@@ -403,7 +403,8 @@ def test_pretrain_zero_schedule_returns_init(small_distribution):
 
 def test_pretrain_requires_enough_episodes(small_distribution):
     config = config_with(epochs=10, steps_per_epoch=100, tasks_per_batch=2)
-    with pytest.raises(ConfigError):
+    assert config.episodes == 2000 > len(small_distribution)
+    with pytest.raises(ConfigError, match="schedule needs 2000 episodes"):
         pretrain(small_distribution, config, TINY_MODEL, init_seed=0)
 
 
@@ -431,11 +432,16 @@ def test_pretrain_divergence_threshold(small_distribution):
     assert isinstance(info.value.last_state, TrainState)
 
 
-def test_pretrain_phase_betas(small_distribution):
-    config = config_with(alpha=1e-3, beta=1e-3, epochs=2, steps_per_epoch=2, phase_betas=(1e-2, 1e-4))
+def test_pretrain_steps_every_epoch_at_the_config_beta(small_distribution):
+    # beta is a run constant: two epochs of pretrain are the config's meta_steps over the episodes in order
+    config = config_with(alpha=1e-3, beta=1e-2, epochs=2, steps_per_epoch=2)
     state = pretrain(small_distribution, config, TINY_MODEL, init_seed=0)
-    betas = [row[2] for row in state.history]
-    assert betas == [1e-2, 1e-2, 1e-4, 1e-4]
+    manual = TrainState(theta=init_params(TINY_MODEL, seed=0))
+    for i in range(config.episodes):
+        manual = meta_step(manual, [SegmentationTask(small_distribution[i], TINY_MODEL)], config)
+    assert [step for step, _ in state.history] == [0, 1, 2, 3]
+    assert state.history == manual.history
+    assert all(np.array_equal(state.theta[n], manual.theta[n]) for n in manual.theta.keys())
 
 
 def one_class_area(label=1, rooms=3):
