@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, data
 from .autodiff import Tape, backward, cross_entropy, finite_diff_gradient, grad_array
 from .data import (
     DEFAULT_CLASSES,
@@ -32,7 +32,6 @@ from .data import (
     count_blocks,
     csv_text,
     find_areas,
-    generate_synthetic_area,
     load_area,
     load_room,
     load_vocab,
@@ -42,8 +41,9 @@ from .data import (
     read_text,
     resample_block,
     export_ply,
-    write_area,
+    synthetic_rooms,
     write_file,
+    write_rooms,
     write_vocab,
 )
 from .errors import CapacityError, ConfigError, DivergenceError, ValidationError
@@ -51,6 +51,10 @@ from .metrics import metrics_report
 from .model import PointNetConfig, forward, init_params, load_checkpoint, predict_labels, save_checkpoint
 from .sampler import EpisodeSpec, build_task_distribution, index_categories
 from .trainer import MetaConfig, adapt_and_eval, check_eval, pretrain
+
+# synth builds its areas room by room through synthetic_rooms; the whole-area generator stays an attribute of cli
+# because perfbench's traced run wraps cli.generate_synthetic_area
+generate_synthetic_area = data.generate_synthetic_area
 
 
 def _sha256_file(path) -> str:
@@ -150,12 +154,9 @@ def cmd_synth(args) -> int:
     area_specs = _area_specs_from_json(spec, f"synth spec {args.spec}")
     out = Path(args.out)
     write_vocab(area_specs[0].classes, out / "vocab.txt")
-    for i, area_spec in enumerate(area_specs):
+    for i, area_spec in enumerate(area_specs):  # a room is generated, written, counted and dropped before the next
         area_seed = int(np.random.SeedSequence([args.seed, i]).generate_state(1)[0])
-        area = generate_synthetic_area(area_spec, seed=area_seed)
-        write_area(area, out)
-        _print_area(area)
-        del area  # before the next area is generated, so one area is alive at a time
+        _print_area(area_spec.name, write_rooms(synthetic_rooms(area_spec, seed=area_seed), out / area_spec.name))
     write_manifest(out, "synth", spec, {"seed": args.seed}, [args.spec])
     return 0
 
@@ -167,16 +168,23 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     directories, vocab = find_areas(args.data)
     print(f"vocabulary: {len(vocab)} classes ({', '.join(vocab)})")
-    for directory in directories:  # an area is read, counted and dropped before the next is read
-        _print_area(load_area(directory, vocab), with_types=True)
+    for directory in directories:  # a room is read, counted and dropped before the next is read
+        _print_area(directory.name, read_rooms(directory, vocab), with_types=True)
     return 0
 
 
-def _print_area(area, with_types: bool = False) -> None:
-    n_blocks = sum(count_blocks(room) for room in area.rooms)
-    n_points = sum(len(room) for room in area.rooms)
-    types = f", types: {', '.join(sorted({room.room_type for room in area.rooms}))}" if with_types else ""
-    print(f"{area.name}: {len(area.rooms)} rooms, {n_points} points, {n_blocks} blocks{types}")
+def _room_totals(room) -> tuple[int, int, str]:
+    return len(room), count_blocks(room), room.room_type
+
+
+def _print_area(name: str, rooms, with_types: bool = False) -> None:
+    """Print the totals line of the area ``name``, counting its ``rooms`` as they come.
+
+    ``map`` holds no room while the next is made, so one room is alive at a time.
+    """
+    points, blocks, types = zip(*map(_room_totals, rooms))
+    types = f", types: {', '.join(sorted(set(types)))}" if with_types else ""
+    print(f"{name}: {len(points)} rooms, {sum(points)} points, {sum(blocks)} blocks{types}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +369,9 @@ def _run_pretrain(cfg: RunConfig, meta: MetaConfig, seeds: dict, index, model: P
     def hook(epoch, state):
         save_checkpoint(out / f"ckpt_epoch{epoch}", model, state.theta)
 
-    try:
-        state = pretrain(dist, meta, model, init_seed=seeds["init"], checkpoint_hook=hook)
+    try:  # meta_step turns a non-finite loss or gradient into a DivergenceError, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = pretrain(dist, meta, model, init_seed=seeds["init"], checkpoint_hook=hook)
     except DivergenceError as exc:
         write_loss_csv(exc.last_state.history, meta, out / "loss.csv")
         raise

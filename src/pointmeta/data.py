@@ -61,18 +61,21 @@ DEFAULT_PALETTE = {
 def check_points(name, xyz, rgb, labels, n_classes: int | None = None, linenos=None) -> None:
     """Raise a ValidationError naming the first point that breaks a point rule.
 
-    Rules: at least one point, finite XYZ, RGB in 0..255 (unless ``xyz`` is None), and a
-    label in [0, n_classes) when ``n_classes`` is given.  A point is named
-    ``name:linenos[row]``, else ``name point row``.
+    Rules: at least one point, finite XYZ and RGB in 0..255 (unless ``xyz`` is None), and a
+    label in [0, n_classes) when ``n_classes`` is given, else in 0..255, the range of one byte.
+    A point is named ``name:linenos[row]``, else ``name point row``.
     """
     if len(labels) == 0:
         raise ValidationError(f"{name}: empty room, no points")
-    rules = [] if xyz is None else [
-        (~np.isfinite(xyz).all(axis=1), "non-finite coordinates"),
-        (((rgb < 0) | (rgb > 255)).any(axis=1), "color outside [0, 255]"),
-    ]
-    if n_classes is not None:
-        rules.append(((labels < 0) | (labels >= n_classes), f"label not in the {n_classes}-class vocabulary"))
+    if n_classes is None:
+        rules = [((labels < 0) | (labels > 255), "label outside [0, 255]")]
+    else:
+        rules = [((labels < 0) | (labels >= n_classes), f"label not in the {n_classes}-class vocabulary")]
+    if xyz is not None:
+        rules += [
+            (~np.isfinite(xyz).all(axis=1), "non-finite coordinates"),
+            (((rgb < 0) | (rgb > 255)).any(axis=1), "color outside [0, 255]"),
+        ]
     row, what = min([(int(np.argmax(bad)), what) for bad, what in rules if bad.any()], default=(0, None))
     if what:
         raise ValidationError(f"{name}:{linenos[row]}: {what}" if linenos is not None else f"{name} point {row}: {what}")
@@ -84,15 +87,16 @@ class Room:
     room_type: str
     xyz: np.ndarray  # [N, 3] meters
     rgb: np.ndarray  # [N, 3] uint8 once checked: any integer dtype in, values in 0..255
-    labels: np.ndarray  # [N] class ids
+    labels: np.ndarray  # [N] class ids, uint8 once checked: any integer dtype in, values in 0..255
 
     def __post_init__(self):
         if len(self.xyz) != len(self.labels) or len(self.xyz) != len(self.rgb):
             raise ValidationError(f"room {self.name}: points/colors/labels lengths differ")
-        if self.rgb.dtype.kind not in "iu":  # a float would be truncated, a NaN pass the range check
-            raise ValidationError(f"room {self.name}: colors must be integers, got dtype {self.rgb.dtype}")
+        for what, values in (("colors", self.rgb), ("labels", self.labels)):
+            if values.dtype.kind not in "iu":  # a float would be truncated, a NaN pass the range check
+                raise ValidationError(f"room {self.name}: {what} must be integers, got dtype {values.dtype}")
         check_points(f"room {self.name}", self.xyz, self.rgb, self.labels)
-        self.rgb = self.rgb.astype(np.uint8, copy=False)
+        self.rgb, self.labels = self.rgb.astype(np.uint8, copy=False), self.labels.astype(np.uint8, copy=False)
         if self.room_type not in ROOM_TYPES:
             raise ValidationError(f"room {self.name}: unknown room type {self.room_type!r}")
 
@@ -136,7 +140,8 @@ def write_vocab(classes, path) -> None:
 
 
 def write_file(path, data) -> None:
-    """Write ``data`` (bytes, or str as UTF-8) to ``<path>.tmp``, then rename that over ``path``.
+    """Write ``data`` (bytes, str as UTF-8, or an iterable of bytes written piece by piece) to ``<path>.tmp``,
+    then rename that over ``path``.
 
     The directory that holds ``path`` is made if it is missing.  A killed command leaves the old
     file or the new one, never part of one; there is no fsync, so a power cut can still lose the write.
@@ -144,7 +149,9 @@ def write_file(path, data) -> None:
     tmp = Path(f"{path}.tmp")
     tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        with open(tmp, "wb") as fh:
+            for piece in [data] if isinstance(data, (bytes, str)) else data:
+                fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -191,6 +198,8 @@ def load_vocab(path) -> tuple[str, ...]:
         classes[label] = name
     if sorted(classes) != list(range(len(classes))):
         raise ValidationError(f"{path}: label ids must be contiguous from 0")
+    if len(classes) > 256:
+        raise ValidationError(f"{path}: {len(classes)} classes, more than the 256 a one-byte label holds")
     return tuple(classes[i] for i in range(len(classes)))
 
 
@@ -207,6 +216,7 @@ def _parse_points(lines) -> np.ndarray | None:
         return None
 
 
+_CHUNK_ROWS = 4096  # room file lines parsed, and rows formatted, at a time
 _SCAN_CHUNK = 256  # lines parsed together while looking for the malformed one
 
 
@@ -216,9 +226,10 @@ def _first_malformed(lines) -> int:
     return next(at for at in range(start, start + _SCAN_CHUNK) if _parse_points(lines[at:at + 1]) is None)
 
 
-def _raise_at_bad_line(path, lines, n_classes: int, table) -> None:
-    """Name ``path:line`` of the first line that breaks a rule; ``table`` parses ``lines``, or is None if one is malformed."""
+def _raise_at_bad_line(path, lines, n_classes: int) -> None:
+    """Name ``path:line`` of the first of ``lines`` that breaks a rule, if one does."""
     numbered = [(lineno, stripped) for lineno, line in enumerate(lines, start=1) if (stripped := line.strip())]
+    table = _parse_points([line for _, line in numbered])
     bad = None if table is not None else _first_malformed([line for _, line in numbered])
     if bad != 0:  # a point rule broken before the malformed line is reported first
         table = table if bad is None else _parse_points([line for _, line in numbered[:bad]])
@@ -228,23 +239,49 @@ def _raise_at_bad_line(path, lines, n_classes: int, table) -> None:
         raise ValidationError(f"{path}:{lineno}: expected 'x y z r g b label' with integer r g b label, got {line!r}")
 
 
+def _below(values, limit: int) -> bool:
+    return 0 <= values.min(initial=0) and values.max(initial=0) < limit
+
+
+def _parse_room(text, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float64 xyz and uint8 rgb and labels of a room file's text, parsed about ``_CHUNK_ROWS`` lines at a time.
+
+    The arrays are allocated once for every line and trimmed to the points.  A chunk's int64 colors and
+    labels are range-checked before they are narrowed; a chunk that does not parse or is out of range
+    raises a ValidationError that names no line.
+    """
+    n_lines = text.count("\n") + 1
+    xyz, rgb, labels = np.empty((n_lines, 3)), np.empty((n_lines, 3), np.uint8), np.empty(n_lines, np.uint8)
+    span, start, n = max(len(text) * _CHUNK_ROWS // n_lines, 1), 0, 0  # characters of about _CHUNK_ROWS lines
+    while start < len(text):
+        end = text.find("\n", start + span)
+        end = len(text) if end < 0 else end
+        table = _parse_points(_text_lines(text[start:end]))
+        if table is None or not (_below(table["rgb"], 256) and _below(table["labels"], min(n_classes, 256))):
+            raise ValidationError("a line does not parse or holds a color or label out of range")
+        rows = slice(n, n + len(table))
+        xyz[rows], rgb[rows], labels[rows] = table["xyz"], table["rgb"], table["labels"]
+        n, start = rows.stop, end + 1
+    for values in (xyz, rgb, labels):
+        values.resize((n, *values.shape[1:]), refcheck=False)  # in place: no view of them is out yet
+    return xyz, rgb, labels
+
+
 def load_room(path, vocab) -> Room:
-    """Parse one room file whole, its points checked once by ``Room`` and the vocabulary; a failure names ``path:line``."""
+    """Parse one room file, read once; its points are checked once by ``Room`` and, chunk by chunk, the vocabulary.
+
+    A failure names ``path:line``: every point rule and parse error is looked up on the whole text again.
+    """
     path = Path(path)
     room_type, _, index = path.stem.rpartition("_")
     if not room_type or not index.isdecimal():
         raise ValidationError(f"{path}: room file name {path.stem!r} is not of the form <room_type>_<index>")
-    lines = _text_lines(read_text(path))
-    table = _parse_points(lines)
-    if table is not None:
-        try:
-            room = Room(path.stem, room_type, *(np.ascontiguousarray(table[key]) for key in ROOM_DTYPE.names))
-            check_points(path, None, None, room.labels, len(vocab))
-            return room
-        except ValidationError as exc:
-            _raise_at_bad_line(path, lines, len(vocab), table)
-            raise ValidationError(f"{path}: {exc}") from exc  # no point is at fault, so the room type is
-    _raise_at_bad_line(path, lines, len(vocab), None)  # raises: a line is malformed
+    text = read_text(path)
+    try:
+        return Room(path.stem, room_type, *_parse_room(text, len(vocab)))
+    except ValidationError as exc:
+        _raise_at_bad_line(path, _text_lines(text), len(vocab))
+        raise ValidationError(f"{path}: {exc}") from exc  # no line is at fault, so the room type is
 
 
 def _group_table(before: str, lead: bool, after: str) -> np.ndarray:
@@ -299,7 +336,22 @@ def _format_rows(floats, ints) -> bytes:
 
 
 def write_room(room: Room, path) -> None:
-    write_file(path, _format_rows(room.xyz, np.column_stack([room.rgb, room.labels])))
+    """The room's points as ``x y z r g b label`` lines, formatted ``_CHUNK_ROWS`` rows at a time."""
+    rows = (slice(at, at + _CHUNK_ROWS) for at in range(0, len(room), _CHUNK_ROWS))
+    write_file(path, (_format_rows(room.xyz[r], np.column_stack([room.rgb[r], room.labels[r]])) for r in rows))
+
+
+def write_rooms(rooms, directory) -> Iterator[Room]:
+    """Each of ``rooms``, handed on once it is written as ``<directory>/<room name>.txt``.
+
+    A ``map``, unlike a loop variable, holds no room while the next is made, so a caller that drops
+    each room before asking for the next holds one room at a time.
+    """
+    def written(room):
+        write_room(room, Path(directory) / f"{room.name}.txt")
+        return room
+
+    return map(written, rooms)
 
 
 def read_rooms(directory, vocab) -> Iterator[Room]:
@@ -337,18 +389,6 @@ def load_dataset(root, names=()) -> tuple[list[Area], tuple[str, ...]]:
     """``find_areas(root, names)`` with every area read."""
     directories, vocab = find_areas(root, names)
     return [load_area(directory, vocab) for directory in directories], vocab
-
-
-def write_area(area: Area, root) -> None:
-    """Each room of ``area`` as ``<root>/<area name>/<room name>.txt``."""
-    for room in area.rooms:
-        write_room(room, Path(root) / area.name / f"{room.name}.txt")
-
-
-def write_dataset(areas, classes, root) -> None:
-    write_vocab(classes, Path(root) / "vocab.txt")
-    for area in areas:
-        write_area(area, root)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +610,7 @@ def _generate_room(template: RoomTemplate, spec: SyntheticAreaSpec, name: str, r
         colors = np.clip(color + noise, 0, 255).astype(np.uint8)
         xyz.append(pts)
         rgb.append(colors)
-        labels.append(np.full(len(pts), class_id[label], dtype=np.int64))
+        labels.append(np.full(len(pts), class_id[label], dtype=np.uint8))
 
     return Room(
         name=name,
@@ -581,16 +621,19 @@ def _generate_room(template: RoomTemplate, spec: SyntheticAreaSpec, name: str, r
     )
 
 
+def synthetic_rooms(spec: SyntheticAreaSpec, seed: int) -> Iterator[Room]:
+    """Procedurally build the labeled rooms of one area in ``spec.rooms`` order, each only when asked for.
+
+    Room k draws from its own generator seeded ``[seed, k]``, so the rooms are bit-identical per (spec, seed).
+    """
+    names = [(room_type, f"{room_type}_{i + 1}") for room_type, count in spec.rooms for i in range(count)]
+    for k, (room_type, name) in enumerate(names):
+        yield _generate_room(DEFAULT_TEMPLATES[room_type], spec, name, np.random.default_rng([seed, k]))
+
+
 def generate_synthetic_area(spec: SyntheticAreaSpec, seed: int) -> Area:
-    """Procedurally build one labeled area; bit-identical per (spec, seed)."""
-    rooms = []
-    counter = 0
-    for room_type, count in spec.rooms:
-        for i in range(count):
-            rng = np.random.default_rng([seed, counter])
-            rooms.append(_generate_room(DEFAULT_TEMPLATES[room_type], spec, f"{room_type}_{i + 1}", rng))
-            counter += 1
-    return Area(name=spec.name, rooms=rooms, classes=spec.classes)
+    """Every room of ``synthetic_rooms(spec, seed)`` as one area."""
+    return Area(name=spec.name, rooms=list(synthetic_rooms(spec, seed)), classes=spec.classes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from pointmeta.autodiff import ParamStore, Tensor
+from pointmeta.data import _CHUNK_ROWS
 from pointmeta.model import PointNetConfig, layer_shapes
 from pointmeta.sampler import BlockRef, BlockSample, Episode
+
+
+# the most memory one chunk of room rows takes in flight, in bytes: the formatter's digit slots take about 300 a
+# row and the parser's line text, line strs and int64 table about 190, so 512 a row leaves headroom
+CHUNK_IN_FLIGHT = 512 * _CHUNK_ROWS
 
 
 @dataclass

@@ -17,9 +17,11 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from pointmeta.cli import _area_specs_from_json, _parse_run_config, main
-from pointmeta.data import DEFAULT_CLASSES, DEFAULT_PALETTE, load_dataset
+from pointmeta.data import _CHUNK_ROWS, DEFAULT_CLASSES, DEFAULT_PALETTE, load_dataset
 from pointmeta.model import load_checkpoint
 from pointmeta.sampler import index_categories
+
+from helpers import CHUNK_IN_FLIGHT
 
 SYNTH_SPEC = {
     "density": 40,
@@ -230,24 +232,26 @@ def test_ingest_missing_dir(tmp_path):
 
 
 def test_commands_hold_one_area_or_room(tmp_path):
-    # ingest holds one area at a time, and pretrain and adapt-eval build their index one room at a time, so
-    # each command's traced peak stays below what holding every room it reads would take
-    spec = {"density": 40, "areas": [{"name": name, "rooms": {"office": 3, "hallway": 3, "storage": 3}}
-                                     for name in ("AreaA", "AreaB", "AreaC")]}
+    # synth and ingest hold one room and one chunk of rows at a time, and pretrain and adapt-eval build their
+    # index one room at a time, so each command's traced peak stays below what holding more would take
+    spec = {"density": 160, "areas": [{"name": name, "rooms": {"office": 4, "hallway": 4, "storage": 4}}
+                                      for name in ("AreaA", "AreaB", "AreaC")]}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     data = tmp_path / "data"
-    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
     cfg = json.loads(json.dumps(RUN_CONFIG))
     cfg["data"] |= {"root": str(data), "areas": ["AreaA", "AreaB"]}
     cfg["meta"] |= {"epochs": 1, "steps_per_epoch": 0}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
 
     def peak(*argv) -> int:
+        argv = [str(arg) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # a first run pays numpy's lazy imports, which a traced peak would count
         gc.collect()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(io.StringIO()):
-                assert main([str(arg) for arg in argv]) == 0
+                assert main(argv) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,8 +259,16 @@ def test_commands_hold_one_area_or_room(tmp_path):
     def nbytes(items) -> int:
         return sum(item.xyz.nbytes + item.rgb.nbytes + item.labels.nbytes for item in items)
 
+    synth_peak = peak("synth", "--spec", tmp_path / "spec.json", "--out", data)
     areas, _ = load_dataset(data)
-    assert peak("ingest", "--data", data) < nbytes(room for area in areas for room in area.rooms)
+    rooms = [room for area in areas for room in area.rooms]
+    largest = max(nbytes([room]) for room in rooms)
+    largest_file = max(path.stat().st_size for path in data.glob("*/*.txt"))
+    one_area = min(nbytes(area.rooms) for area in areas)  # a command holding any area passes each bound
+    assert max(map(len, rooms)) > 3 * _CHUNK_ROWS  # the largest room is several chunks long
+    assert synth_peak < largest + CHUNK_IN_FLIGHT < one_area
+    # a room being read holds its file's text besides its arrays
+    assert peak("ingest", "--data", data) < largest_file + largest + CHUNK_IN_FLIGHT < one_area
     read = areas[:2]
     held = nbytes(room for area in read for room in area.rooms)
     held += nbytes(index_categories(read, points_per_block=32)._blocks.values())
@@ -631,7 +643,7 @@ def test_negative_seed_usage_error(argv, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_pretrain_divergence_exit_code(dataset, tmp_path):
+def test_pretrain_divergence_exit_code(dataset, tmp_path, capsys):
     cfg = json.loads(json.dumps(RUN_CONFIG))
     cfg["data"]["root"] = str(dataset)
     cfg["meta"]["alpha"] = 1e7
@@ -640,8 +652,11 @@ def test_pretrain_divergence_exit_code(dataset, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "boom"
-    with np.errstate(all="ignore"):
-        assert main(["pretrain", "--config", str(cfg_path), "--out", str(out)]) == 3
+    # no errstate here: pytest turns a RuntimeWarning into an error, so the run shows that pretrain lets numpy
+    # warn of nothing, and the exit-3 message is all it prints
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"diverged: step \d+: [^\n]+\n", err), err
     # the initial checkpoint and the partial loss record survive the abort
     assert (out / "ckpt_epoch0").exists()
     assert (out / "loss.csv").exists()

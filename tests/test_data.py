@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointmeta import data as data_module
+from pointmeta.autodiff import ParamStore, Tape, backward, cross_entropy, grad_array
 from pointmeta.data import (
     DEFAULT_CLASSES,
     DEFAULT_PALETTE,
@@ -25,12 +28,16 @@ from pointmeta.data import (
     load_vocab,
     partition_blocks,
     resample_block,
-    write_dataset,
+    synthetic_rooms,
     write_file,
     write_room,
     write_vocab,
 )
 from pointmeta.errors import ConfigError, ValidationError
+from pointmeta.metrics import accumulate
+from pointmeta.sampler import index_categories
+
+from helpers import CHUNK_IN_FLIGHT
 
 
 def make_room(xyz, labels=None, rgb=None, name="office_1"):
@@ -161,6 +168,36 @@ def test_naming_a_malformed_line_parses_in_chunks(tmp_path, monkeypatch, bad_at,
     assert len(calls) < 400
 
 
+def test_load_room_parses_a_long_room_in_chunks(tmp_path, monkeypatch):
+    # a room 20 chunks long is parsed about _CHUNK_ROWS lines at a time into its final arrays, so loading it holds
+    # the text, the arrays and one chunk in flight, not a str per line and an int64 table of the whole room
+    rng = np.random.default_rng(0)
+    n = 20 * data_module._CHUNK_ROWS + 17
+    room = make_room(rng.uniform(-10, 10, (n, 3)), labels=rng.integers(0, 6, n), rgb=rng.integers(0, 256, (n, 3)))
+    path = tmp_path / "office_1.txt"
+    write_room(room, path)
+    load_room(path, DEFAULT_CLASSES)  # a first load pays what numpy sets up once
+    parses, loadtxt = [], np.loadtxt
+
+    def counting_loadtxt(lines, *args, **kwargs):
+        parses.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = load_room(path, DEFAULT_CLASSES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = back.xyz.nbytes + back.rgb.nbytes + back.labels.nbytes
+    assert arrays == 28 * n  # float64 coordinates, one byte per color channel and one per label
+    assert peak < path.stat().st_size + 2 * arrays + CHUNK_IN_FLIGHT
+    assert len(parses) >= 20 and max(parses) < 1.5 * data_module._CHUNK_ROWS
+    assert_room_arrays(back, read_room_oracle(path.read_text()))
+
+
 def test_load_room_not_utf8(tmp_path):
     path = tmp_path / "office_1.txt"
     path.write_bytes(f"{GOOD_LINE}\n".encode() + b"\xff\xfe\n")
@@ -208,16 +245,21 @@ def test_load_room_reads_once_and_checks_each_rule_once(tmp_path, monkeypatch, t
     monkeypatch.setattr(data_module, "_raise_at_bad_line", no_line_scan)
     assert len(load_room(path, DEFAULT_CLASSES)) == 2
     assert reads == [path]
-    assert parses == [text.count("\n") + 1]  # one loadtxt over every line of the text
-    assert checks == [(True, None), (False, len(DEFAULT_CLASSES))]  # XYZ/RGB in Room, then the vocabulary
+    assert parses == [text.count("\n") + 1]  # a text shorter than a chunk: one loadtxt over every line
+    assert checks == [(True, None)]  # XYZ/RGB in Room; the chunk parse checked the vocabulary before narrowing
 
 
 def write_room_oracle(room) -> bytes:
-    """The per-line room writer that the table writer must match byte for byte."""
+    """The per-line writer of a room's (or a block's) rows that the table writer must match byte for byte."""
     return "".join(
         f"{x:.6f} {y:.6f} {z:.6f} {int(r)} {int(g)} {int(b)} {int(label)}\n"
         for (x, y, z), (r, g, b), label in zip(room.xyz, room.rgb, room.labels)
     ).encode("utf-8")
+
+
+def format_rows(block) -> bytes:
+    """``_format_rows`` of a block's rows; unlike a room's, a block's labels may be any int64."""
+    return data_module._format_rows(block.xyz, np.column_stack([block.rgb, block.labels]))
 
 
 def read_room_oracle(text: str):
@@ -264,8 +306,8 @@ def load_room_oracle(text: str, path, n_classes: int):
 
 
 def assert_room_arrays(room, want) -> None:
-    """``room`` holds the oracle's (xyz, rgb, labels) values, as float64, uint8 and int64 arrays."""
-    assert (room.xyz.dtype, room.rgb.dtype, room.labels.dtype) == (np.float64, np.uint8, np.int64)
+    """``room`` holds the oracle's (xyz, rgb, labels) values, as float64, uint8 and uint8 arrays."""
+    assert (room.xyz.dtype, room.rgb.dtype, room.labels.dtype) == (np.float64, np.uint8, np.uint8)
     for got, expected in zip((room.xyz, room.rgb, room.labels), want):
         assert got.shape == expected.shape and np.array_equal(got, expected)
         assert got.tobytes() == expected.astype(got.dtype).tobytes()  # -0.0 and 0.0 told apart
@@ -335,11 +377,10 @@ def test_room_and_ply_writers_match_the_per_line_oracle(tmp_path_factory, points
     edge = np.array(rows, dtype=object).reshape(-1, 7)
     if extra is not None:
         edge[0, 6 if isinstance(extra, int) else 0] = extra
-    edge_room = make_room(edge[:, :3].astype(np.float64), rgb=edge[:, 3:6].astype(np.int64), labels=edge[:, 6].astype(np.int64))
-    write_room(edge_room, path)
-    assert path.read_bytes() == write_room_oracle(edge_room)
-    palette = {int(label): (int(label), abs(int(label)) // 2, 255) for label in edge_room.labels}
-    edge_block = make_block(edge_room.xyz, edge_room.rgb, edge_room.labels)
+    # a label past one byte fits no Room, so the edge rows go to the formatter that write_room calls in a block
+    edge_block = make_block(edge[:, :3].astype(np.float64), edge[:, 3:6].astype(np.int64), edge[:, 6].astype(np.int64))
+    assert format_rows(edge_block) == write_room_oracle(edge_block)
+    palette = {int(label): (int(label), abs(int(label)) // 2, 255) for label in edge_block.labels}
     export_ply(edge_block, edge_block.labels, palette, ply)
     assert ply.read_bytes() == export_ply_oracle(edge_block, edge_block.labels, palette)
 
@@ -426,11 +467,9 @@ def test_write_file_replaces_whole_or_not_at_all(tmp_path, monkeypatch):
     assert nested.read_bytes() == b"0 wall\n"
 
 
-def test_write_room_keeps_integers_above_2_53(tmp_path):
-    room = make_room([[0.5, 0.25, 1.0]], labels=np.array([2**53 + 1]))
-    path = tmp_path / "office_1.txt"
-    write_room(room, path)
-    assert path.read_bytes() == write_room_oracle(room) == b"0.500000 0.250000 1.000000 128 128 128 9007199254740993\n"
+def test_format_rows_keeps_integers_above_2_53():
+    block = make_block(np.array([[0.5, 0.25, 1.0]]), np.full((1, 3), 128), np.array([2**53 + 1]))
+    assert format_rows(block) == write_room_oracle(block) == b"0.500000 0.250000 1.000000 128 128 128 9007199254740993\n"
 
 
 def test_room_roundtrip(tmp_path):
@@ -455,6 +494,15 @@ def test_vocab_requires_contiguous_ids(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("0 floor\n2 wall\n")
     with pytest.raises(ValidationError):
+        load_vocab(path)
+
+
+def test_vocab_holds_at_most_256_classes(tmp_path):
+    path = tmp_path / "vocab.txt"
+    write_vocab([f"class{i}" for i in range(256)], path)
+    assert len(load_vocab(path)) == 256
+    write_vocab([f"class{i}" for i in range(257)], path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: 257 classes, more than the 256 a one-byte label holds$"):
         load_vocab(path)
 
 
@@ -485,8 +533,9 @@ def test_load_room_file_name_needs_a_decimal_index(tmp_path, stem):
 
 def test_load_dataset_reads_the_named_areas_in_name_order_and_ignores_repeats(tmp_path, monkeypatch):
     room = make_room([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-    areas = [Area(name=n, rooms=[room], classes=DEFAULT_CLASSES) for n in ("AreaA", "AreaB", "AreaC")]
-    write_dataset(areas, DEFAULT_CLASSES, tmp_path)
+    write_vocab(DEFAULT_CLASSES, tmp_path / "vocab.txt")
+    for name in ("AreaA", "AreaB", "AreaC"):
+        write_room(room, tmp_path / name / f"{room.name}.txt")
     read, load_area = [], data_module.load_area
 
     def recorded(directory, vocab):
@@ -621,6 +670,65 @@ def test_room_rejects_colors_not_of_an_integer_dtype(rgb):
     # a float color would be truncated on writing and a NaN would pass the range check
     with pytest.raises(ValidationError, match=f"^room office_1: colors must be integers, got dtype {rgb.dtype}$"):
         make_room(np.zeros((2, 3)), rgb=rgb)
+
+
+@pytest.mark.parametrize("labels", [np.full(2, 1.0), np.full(2, np.nan), np.ones(2, dtype=bool)], ids=["float", "nan", "bool"])
+def test_room_rejects_labels_not_of_an_integer_dtype(labels):
+    with pytest.raises(ValidationError, match=f"^room office_1: labels must be integers, got dtype {labels.dtype}$"):
+        make_room(np.zeros((2, 3)), labels=labels)
+
+
+@pytest.mark.parametrize("label", [-1, 256, 999, 2**53 + 1])
+def test_room_rejects_a_label_outside_one_byte(label):
+    # a label is narrowed to uint8 once checked, so a larger one would wrap to another class
+    with pytest.raises(ValidationError, match="^room office_1 point 1: label outside \\[0, 255\\]$"):
+        make_room(np.zeros((3, 3)), labels=np.array([0, label, 1]))
+
+
+def test_labels_stay_one_byte_from_room_file_to_block_sample(tmp_path):
+    # generated, loaded, partitioned, resampled and materialized labels are uint8 and hold the line oracle's values
+    spec = SyntheticAreaSpec("AreaA", (("office", 1), ("storage", 1)), density=40)
+    for generated in synthetic_rooms(spec, seed=3):
+        path = tmp_path / f"{generated.name}.txt"
+        write_room(generated, path)
+        labels = read_room_oracle(path.read_text())[2]
+        room = load_room(path, DEFAULT_CLASSES)
+        for held in (generated, room):
+            assert held.labels.dtype == np.uint8 and np.array_equal(held.labels, labels)
+        for block in partition_blocks(room):
+            assert block.labels.dtype == np.uint8
+            assert resample_block(block, 2 * len(block), np.random.default_rng(0)).labels.dtype == np.uint8
+        index = index_categories(Area("AreaA", [room], DEFAULT_CLASSES), points_per_block=16)
+        for refs in index.categories.values():
+            assert all(index.materialize(ref, 0).labels.dtype == np.uint8 for ref in refs)
+
+
+@given(st.integers(1, 256).flatmap(lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), min_size=1, max_size=40))))
+@settings(max_examples=40, deadline=None)
+def test_uint8_labels_give_the_values_and_bytes_of_int64_labels(tmp_path_factory, case):
+    # the loss, its gradient, the dominant class, the confusion counts and the room file are the same either way
+    m, values = case
+    wide = np.array(values, dtype=np.int64)
+    narrow = wide.astype(np.uint8)
+    rng = np.random.default_rng(len(values))
+    logits, xyz = rng.normal(size=(len(values), m)), rng.uniform(0, 3, (len(values), 3))
+    predicted = rng.integers(0, m, len(values))
+
+    def loss_and_grad(labels):
+        with Tape() as tape:
+            leaves = ParamStore({"logits": logits}).tensors()
+            loss = cross_entropy(leaves["logits"], labels)
+            return loss.item(), grad_array(backward(loss, tape, leaves)["logits"]).tobytes()
+
+    assert loss_and_grad(narrow) == loss_and_grad(wide)
+    blocks = [make_block(xyz, np.full((len(values), 3), 128, dtype=np.uint8), labels) for labels in (narrow, wide)]
+    assert dominant_class(blocks[0]) == dominant_class(blocks[1])
+    counts = [accumulate(np.zeros((m, m), dtype=np.int64), predicted, labels) for labels in (narrow, wide)]
+    assert counts[0].dtype == counts[1].dtype and np.array_equal(*counts)
+    room, path = make_room(xyz, labels=wide), tmp_path_factory.mktemp("room") / "office_1.txt"
+    assert room.labels.dtype == np.uint8  # the Room narrows the int64 labels
+    write_room(room, path)
+    assert path.read_bytes() == write_room_oracle(blocks[1]) == format_rows(blocks[0])
 
 
 def test_resample_empty_block_error():

@@ -17,6 +17,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pointmeta.cli import main
+from pointmeta.data import _CHUNK_ROWS
 
 SPEC = {"density": 40, "areas": [{"name": "AreaA", "rooms": {"office": 2, "hallway": 2}}]}
 ROOMS = ("hallway_1", "hallway_2", "office_1", "office_2")
@@ -62,9 +63,9 @@ def clean(tmp_path_factory) -> Path:
     return root
 
 
-def check_broken(clean: Path, mutate, only=None) -> None:
+def check_broken(clean: Path, mutate, only=None, named="") -> None:
     """Break a copy of the clean dataset with ``mutate(tmp)``, which returns the broken file, and run each command
-    (those named in ``only`` when given)."""
+    (those named in ``only`` when given); each message names the broken file, followed by ``named`` when given."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         shutil.copytree(clean / "data", tmp / "data")
@@ -77,7 +78,7 @@ def check_broken(clean: Path, mutate, only=None) -> None:
         for command, argv in runs:
             code, err = run(command, argv)
             assert code in (2, 4, 5), (command, err)
-            assert str(broken) in err and "Traceback" not in err, (command, err)
+            assert f"{broken}{named}" in err and "Traceback" not in err, (command, err)
             assert sorted(tmp.iterdir()) == before, command  # no output written
 
 
@@ -139,6 +140,27 @@ def test_broken_room_file_contract(clean, mutation):
     check_broken(clean, lambda tmp: break_room(tmp, mutation))
 
 
+@pytest.mark.parametrize(
+    "bad, named",
+    [("0 0 0 1 1 1", ": expected 'x y z r g b label'"), (f"0 0 0 1 1 1 {CLASSES}", f": label not in the {CLASSES}-class vocabulary")],
+    ids=["malformed", "out_of_vocabulary"],
+)
+def test_a_bad_line_in_a_later_chunk_is_named_at_its_own_line(clean, bad, named):
+    # a room file is parsed chunk by chunk, and a failure is looked up on its whole text, so the line named is
+    # the file's own line, not one counted from the start of its chunk
+    at = _CHUNK_ROWS + 100  # 0-based, in the second of three chunks
+
+    def mutate(tmp: Path) -> Path:
+        path = tmp / "data/AreaA/office_1.txt"
+        lines = path.read_text().splitlines()
+        lines = (lines * (3 * _CHUNK_ROWS // len(lines) + 1))[: 3 * _CHUNK_ROWS]
+        lines[at] = bad
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    check_broken(clean, mutate, named=f":{at + 1}{named}")
+
+
 # ---------------------------------------------------------------------------
 # vocab.txt
 
@@ -178,6 +200,16 @@ def break_vocab(tmp: Path, mutation) -> Path:
 def test_broken_vocab_contract(clean, mutation):
     event(mutation[0])
     check_broken(clean, lambda tmp: break_vocab(tmp, mutation))
+
+
+def test_vocab_of_more_classes_than_a_label_byte_holds(clean):
+    # a label is one byte in memory, so a vocabulary of 257 classes is refused where it is read
+    def mutate(tmp: Path) -> Path:
+        path = tmp / "data" / "vocab.txt"
+        path.write_text("".join(f"{i} class{i}\n" for i in range(257)))
+        return path
+
+    check_broken(clean, mutate, named=": 257 classes, more than the 256 a one-byte label holds")
 
 
 @pytest.mark.parametrize("size", [CLASSES + 1, CLASSES - 1])
