@@ -127,6 +127,7 @@ def _load_json(path) -> dict:
 
 
 def _area_specs_from_json(spec: dict, source: str) -> list[SyntheticAreaSpec]:
+    _reject_unread(spec, {"areas", "density", "color_noise", "room_tint", "classes"}, source)
     areas = _field(spec, "areas", _list_of(_exactly(dict)), source=source)
     if not areas:
         raise ConfigError(f"{source}: needs a non-empty 'areas' list")
@@ -143,6 +144,7 @@ def _area_specs_from_json(spec: dict, source: str) -> list[SyntheticAreaSpec]:
         raise ConfigError(f"{source} areas: vocab.txt and manifest.json name synth's own outputs, got {names}")
     out = []
     for name, entry in zip(names, areas):
+        _reject_unread(entry, {"name", "rooms"}, source)
         rooms = _field(entry, "rooms", _exactly(dict), source=source)
         counts = tuple((t, _field(entry, f"rooms.{t}", integer, source=source)) for t in rooms)
         out.append(_checked(f"{source} ", SyntheticAreaSpec, name=name, rooms=counts, **shared))
@@ -259,6 +261,15 @@ def non_negative_int(value) -> int:  # the type of every seed: numpy rejects neg
     return value
 
 
+def _reject_unread(cfg: dict, read, source: str) -> None:
+    """Name as ``<source> <key>: unknown key`` each key of ``cfg`` not in ``read``; a ``section.key`` there is one of a section's."""
+    sections = {key.partition(".")[0] for key in read if "." in key}
+    keys = [*cfg, *(f"{section}.{key}" for section in cfg if section in sections for key in cfg[section])]
+    unknown = [key for key in keys if key not in read and key not in sections]
+    if unknown:
+        raise ConfigError(f"{source} {', '.join(unknown)}: unknown key")
+
+
 def _checked(prefix: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, with ``prefix`` put before the message of a ``ConfigError`` it raises."""
     try:
@@ -274,11 +285,10 @@ RunConfig = namedtuple("RunConfig", "loaded root areas spec meta sweep model see
 def _parse_run_config(path) -> RunConfig:
     """Every key of the run config at ``path`` that pretrain or cross-validate uses, each read as its own JSON type."""
     cfg, source = _load_json(path), f"run config {path}"
-    read = {}  # section -> the keys read from it
+    read = set()  # the dotted keys read
 
     def field(key: str, kind, default=None):
-        section, name = key.split(".")
-        read.setdefault(section, set()).add(name)
+        read.add(key)
         return _field(cfg, key, kind, default, source=source)
 
     # a config dataclass's message begins with the field it rejects, so "<section>." before it names the key
@@ -322,10 +332,7 @@ def _parse_run_config(path) -> RunConfig:
     # checked here too, so cross-validate stops before its first area trains
     _checked(f"{source} eval.", check_eval, eval_episodes, eval_steps, eval_beta)
     eval_seed = field("eval.seed", non_negative_int, 0)
-    unread = [section for section in cfg if section not in read]
-    unread += [f"{section}.{key}" for section, keys in read.items() for key in cfg.get(section, {}) if key not in keys]
-    if unread:
-        raise ConfigError(f"{source} {', '.join(unread)}: unknown key")
+    _reject_unread(cfg, read, source)
     return RunConfig(cfg, root, areas, spec, meta, sweep, model, seeds, eval_episodes, eval_beta, eval_steps, eval_seed)
 
 
@@ -406,6 +413,8 @@ def _check_classes(model: PointNetConfig, vocab, path) -> None:
 
 def cmd_adapt_eval(args) -> int:
     model, theta = load_checkpoint(args.checkpoint)
+    if args.points_per_block is not None:  # else the checkpoint's
+        model = replace(model, points_per_block=args.points_per_block)
     directories, vocab = find_areas(args.data, args.areas.split(",") if args.areas else ())
     _check_classes(model, vocab, Path(args.data) / "vocab.txt")
     spec = EpisodeSpec(ways=args.ways, shots=args.shots, query_multiplier=args.queries)
@@ -418,7 +427,6 @@ def cmd_adapt_eval(args) -> int:
         rng=np.random.default_rng(args.seed),
         beta=args.beta,
         inner_steps=args.inner_steps,
-        points_per_block=args.points_per_block,
     )
     out = Path(args.out)
     write_file(out / "metrics.csv", csv_text(metrics_report(report.counts, report.overall, vocab)))

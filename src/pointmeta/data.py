@@ -226,62 +226,61 @@ def _first_malformed(lines) -> int:
     return next(at for at in range(start, start + _SCAN_CHUNK) if _parse_points(lines[at:at + 1]) is None)
 
 
-def _raise_at_bad_line(path, lines, n_classes: int) -> None:
-    """Name ``path:line`` of the first of ``lines`` that breaks a rule, if one does."""
-    numbered = [(lineno, stripped) for lineno, line in enumerate(lines, start=1) if (stripped := line.strip())]
-    table = _parse_points([line for _, line in numbered])
-    bad = None if table is not None else _first_malformed([line for _, line in numbered])
+def _raise_at_bad_line(path, lines, n_classes: int, first: int) -> None:
+    """Name ``path:line`` of the first of ``lines``, which start at line ``first``, that breaks a rule, if one does."""
+    linenos, kept = zip(*[(lineno, stripped) for lineno, line in enumerate(lines, start=first) if (stripped := line.strip())])
+    table = _parse_points(kept)
+    bad = None if table is not None else _first_malformed(kept)
     if bad != 0:  # a point rule broken before the malformed line is reported first
-        table = table if bad is None else _parse_points([line for _, line in numbered[:bad]])
-        check_points(path, table["xyz"], table["rgb"], table["labels"], n_classes, [lineno for lineno, _ in numbered])
+        table = table if bad is None else _parse_points(kept[:bad])
+        check_points(path, table["xyz"], table["rgb"], table["labels"], n_classes, linenos)
     if bad is not None:
-        lineno, line = numbered[bad]
-        raise ValidationError(f"{path}:{lineno}: expected 'x y z r g b label' with integer r g b label, got {line!r}")
+        raise ValidationError(f"{path}:{linenos[bad]}: expected 'x y z r g b label' with integer r g b label, got {kept[bad]!r}")
 
 
 def _below(values, limit: int) -> bool:
     return 0 <= values.min(initial=0) and values.max(initial=0) < limit
 
 
-def _parse_room(text, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float64 xyz and uint8 rgb and labels of a room file's text, parsed about ``_CHUNK_ROWS`` lines at a time.
+def _parse_room(path, text, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float64 xyz and uint8 rgb and labels of room file ``path``'s ``text``, parsed ``_CHUNK_ROWS`` lines or so at a time.
 
-    The arrays are allocated once for every line and trimmed to the points.  A chunk's int64 colors and
-    labels are range-checked before they are narrowed; a chunk that does not parse or is out of range
-    raises a ValidationError that names no line.
+    The arrays are allocated once for every line and trimmed to the points.  Each chunk is checked against every
+    rule a line can break, its int64 colors and labels before they are narrowed.  The first chunk that breaks one
+    is scanned on its own for the ``path:line`` it names, so an error holds no more than a valid load does.
     """
-    n_lines = text.count("\n") + 1
+    n_lines, n_classes = text.count("\n") + 1, min(n_classes, 256)  # a label past 255 cannot be narrowed
     xyz, rgb, labels = np.empty((n_lines, 3)), np.empty((n_lines, 3), np.uint8), np.empty(n_lines, np.uint8)
-    span, start, n = max(len(text) * _CHUNK_ROWS // n_lines, 1), 0, 0  # characters of about _CHUNK_ROWS lines
+    span, start, first, n = max(len(text) * _CHUNK_ROWS // n_lines, 1), 0, 1, 0  # characters of about _CHUNK_ROWS lines
     while start < len(text):
         end = text.find("\n", start + span)
         end = len(text) if end < 0 else end
-        table = _parse_points(_text_lines(text[start:end]))
-        if table is None or not (_below(table["rgb"], 256) and _below(table["labels"], min(n_classes, 256))):
-            raise ValidationError("a line does not parse or holds a color or label out of range")
+        lines = _text_lines(text[start:end])
+        table = _parse_points(lines)
+        if table is None or not (np.isfinite(table["xyz"]).all() and _below(table["rgb"], 256) and _below(table["labels"], n_classes)):
+            _raise_at_bad_line(path, lines, n_classes, first)
         rows = slice(n, n + len(table))
         xyz[rows], rgb[rows], labels[rows] = table["xyz"], table["rgb"], table["labels"]
-        n, start = rows.stop, end + 1
+        n, start, first = rows.stop, end + 1, first + len(lines)
+        del lines, table  # before the next chunk is split, so one chunk is in flight
+    if not n:  # raises: blank and comment lines hold no point
+        check_points(path, None, None, labels[:0])
     for values in (xyz, rgb, labels):
         values.resize((n, *values.shape[1:]), refcheck=False)  # in place: no view of them is out yet
     return xyz, rgb, labels
 
 
 def load_room(path, vocab) -> Room:
-    """Parse one room file, read once; its points are checked once by ``Room`` and, chunk by chunk, the vocabulary.
-
-    A failure names ``path:line``: every point rule and parse error is looked up on the whole text again.
-    """
+    """Parse one room file, read once; ``_parse_room`` names the ``path:line`` of the first line that breaks a rule."""
     path = Path(path)
     room_type, _, index = path.stem.rpartition("_")
     if not room_type or not index.isdecimal():
         raise ValidationError(f"{path}: room file name {path.stem!r} is not of the form <room_type>_<index>")
-    text = read_text(path)
+    points = _parse_room(path, read_text(path), len(vocab))
     try:
-        return Room(path.stem, room_type, *_parse_room(text, len(vocab)))
-    except ValidationError as exc:
-        _raise_at_bad_line(path, _text_lines(text), len(vocab))
-        raise ValidationError(f"{path}: {exc}") from exc  # no line is at fault, so the room type is
+        return Room(path.stem, room_type, *points)
+    except ValidationError as exc:  # every line is sound, so the room type is at fault
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _group_table(before: str, lead: bool, after: str) -> np.ndarray:

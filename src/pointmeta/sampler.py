@@ -93,9 +93,6 @@ class CategoryIndex:
         if not self.categories:
             raise CapacityError("dataset produced no candidate blocks in any category")
 
-    def __len__(self):
-        return sum(len(v) for v in self.categories.values())
-
     def materialize(self, ref: BlockRef, resample_seed: int) -> BlockSample:
         block = self._blocks[ref.identity]
         resampled = resample_block(block, self.points_per_block, np.random.default_rng(resample_seed))

@@ -251,14 +251,10 @@ def adapt_and_eval(
     rng: np.random.Generator,
     beta: float,
     inner_steps: int = 1,
-    points_per_block: int | None = None,
 ) -> EvalReport:
-    """Sample episodes from the target areas, adapt on S, score on Q."""
+    """Sample episodes from the target areas, each block resampled to ``model.points_per_block``, adapt on S, score on Q."""
     check_eval(episodes, inner_steps, beta)
-    if points_per_block is not None and points_per_block < 1:
-        raise ConfigError(f"points_per_block must be >= 1 or None (the model's), got {points_per_block}")
-    points = model.points_per_block if points_per_block is None else points_per_block
-    index = index_categories(areas, mode=spec.category_mode, points_per_block=points)
+    index = index_categories(areas, mode=spec.category_mode, points_per_block=model.points_per_block)
     total = np.zeros((model.num_classes, model.num_classes), dtype=np.int64)
     per_episode = []
     for _ in range(episodes):

@@ -149,6 +149,8 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"areas": [[["name", "A"], ["rooms", {"office": 1}]]]}, "areas: cannot read"),
         ({"density": "70"}, "density: cannot read '70'"),
         ({"areas": [{"name": "X", "rooms": {"office": 2.0}}]}, "rooms.office: cannot read 2.0"),
+        ({"densty": 70}, "densty: unknown key"),
+        ({"areas": [{"name": "A", "rooms": {"office": 1}, "extra": 1}]}, "extra: unknown key"),
     ],
     ids=[
         "density", "room_count", "area_entry", "classes", "negative_color_noise", "negative_room_tint",
@@ -157,6 +159,7 @@ def test_synth_bad_spec(tmp_path, capsys):
         "no_classes", "missing_class", "repeated_class", "class_with_space", "empty_area_name", "area_name_path",
         "area_name_parent", "repeated_area_name", "area_named_manifest", "area_named_vocab", "numeric_area_name",
         "numeric_class", "area_as_key_value_pairs", "string_density", "whole_float_room_count",
+        "misspelt_key", "unknown_area_key",
     ],
 )
 def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):

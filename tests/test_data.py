@@ -144,14 +144,15 @@ def test_load_room_names_the_first_of_two_bad_lines(tmp_path):
         load_room(path, DEFAULT_CLASSES)
 
 
-@pytest.mark.parametrize("early_color", [False, True])
+# ids: False holds no early fault, True an early color outside one byte, nan an early non-finite coordinate
+@pytest.mark.parametrize("early", [None, "0 0 0 300 1 1 0", "nan 0 0 1 1 1 0"], ids=["False", "True", "nan"])
 @pytest.mark.parametrize("bad_at", [0, 255, 256, 20000])
-def test_naming_a_malformed_line_parses_in_chunks(tmp_path, monkeypatch, bad_at, early_color):
+def test_naming_a_malformed_line_parses_in_chunks(tmp_path, monkeypatch, bad_at, early):
     # a per-line scan made one loadtxt call per line up to the malformed one: 20,001 for the last line here
     lines = [GOOD_LINE] * 20000
     lines.insert(bad_at, "0 0 0 1 1 1")
-    if early_color:  # a point rule broken earlier, in another chunk, is still named first
-        lines[3 if bad_at else 300] = "0 0 0 300 1 1 0"
+    if early:  # a point rule broken earlier, in the same chunk or another, is still named first
+        lines[3 if bad_at else 300] = early
     text = "\n".join(lines) + "\n"
     path = tmp_path / "office_1.txt"
     path.write_text(text)
@@ -168,14 +169,33 @@ def test_naming_a_malformed_line_parses_in_chunks(tmp_path, monkeypatch, bad_at,
     assert len(calls) < 400
 
 
+def write_long_room(path) -> int:
+    """A valid room file 20 chunks long at ``path``; its point count."""
+    rng = np.random.default_rng(0)
+    n = 20 * data_module._CHUNK_ROWS + 17
+    write_room(make_room(rng.uniform(-10, 10, (n, 3)), labels=rng.integers(0, 6, n), rgb=rng.integers(0, 256, (n, 3))), path)
+    return n
+
+
+def traced_peak(load):
+    """``load()``'s result, or the exception it raised, and the tracemalloc peak it reached in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        try:
+            result = load()
+        except Exception as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_room_parses_a_long_room_in_chunks(tmp_path, monkeypatch):
     # a room 20 chunks long is parsed about _CHUNK_ROWS lines at a time into its final arrays, so loading it holds
     # the text, the arrays and one chunk in flight, not a str per line and an int64 table of the whole room
-    rng = np.random.default_rng(0)
-    n = 20 * data_module._CHUNK_ROWS + 17
-    room = make_room(rng.uniform(-10, 10, (n, 3)), labels=rng.integers(0, 6, n), rgb=rng.integers(0, 256, (n, 3)))
     path = tmp_path / "office_1.txt"
-    write_room(room, path)
+    n = write_long_room(path)
     load_room(path, DEFAULT_CLASSES)  # a first load pays what numpy sets up once
     parses, loadtxt = [], np.loadtxt
 
@@ -184,18 +204,39 @@ def test_load_room_parses_a_long_room_in_chunks(tmp_path, monkeypatch):
         return loadtxt(lines, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        back = load_room(path, DEFAULT_CLASSES)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: load_room(path, DEFAULT_CLASSES))
     arrays = back.xyz.nbytes + back.rgb.nbytes + back.labels.nbytes
     assert arrays == 28 * n  # float64 coordinates, one byte per color channel and one per label
     assert peak < path.stat().st_size + 2 * arrays + CHUNK_IN_FLIGHT
     assert len(parses) >= 20 and max(parses) < 1.5 * data_module._CHUNK_ROWS
     assert_room_arrays(back, read_room_oracle(path.read_text()))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("0 0 0 1 1 1", "expected 'x y z r g b label' with integer r g b label, got '0 0 0 1 1 1'"),
+     ("nan 0 0 1 1 1 0", "non-finite coordinates")],
+    ids=["field_count", "nan"],
+)
+def test_naming_the_last_line_of_a_long_room_holds_one_chunk(tmp_path, monkeypatch, bad, message):
+    # the failing chunk alone is scanned for the bad line, so an error holds no more than a valid load of the room
+    path = tmp_path / "office_1.txt"
+    n = write_long_room(path)
+    with open(path, "a") as fh:
+        fh.write(f"{bad}\n")
+    with pytest.raises(ValidationError):  # a first load pays what numpy sets up once
+        load_room(path, DEFAULT_CLASSES)
+    scanned, raise_at_bad_line = [], data_module._raise_at_bad_line
+
+    def counting_raise_at_bad_line(path, lines, *args):
+        scanned.append(len(lines))
+        raise_at_bad_line(path, lines, *args)
+
+    monkeypatch.setattr(data_module, "_raise_at_bad_line", counting_raise_at_bad_line)
+    error, peak = traced_peak(lambda: load_room(path, DEFAULT_CLASSES))
+    assert isinstance(error, ValidationError) and str(error) == f"{path}:{n + 1}: {message}"
+    assert peak < path.stat().st_size + 2 * 28 * n + CHUNK_IN_FLIGHT  # the bound of a valid load of n points
+    assert len(scanned) == 1 and scanned[0] <= 1.5 * data_module._CHUNK_ROWS
 
 
 def test_load_room_not_utf8(tmp_path):
@@ -425,10 +466,12 @@ BAD_LINES = ["0 0 0 1 1 1", "0 0 x 1 1 1 0", "0 0 0 1 6.5 1 0", "0 0 0 1 1 1 0 #
     st.lists(st.tuples(ROOM_LINES, st.sampled_from(["\n", "\r\n"])), max_size=12),
     st.none() | st.tuples(st.integers(0, 12), st.sampled_from(BAD_LINES)),
     st.booleans(),
+    st.integers(1, 4) | st.just(data_module._CHUNK_ROWS),
 )
 @settings(max_examples=150, deadline=None)
-def test_load_room_equals_the_line_oracle(tmp_path_factory, lines, bad, last_newline):
-    # the one-read path and the line-numbered path must agree with a per-line reader on every text
+def test_load_room_equals_the_line_oracle(tmp_path_factory, lines, bad, last_newline, chunk_rows):
+    # the chunked path and the line-numbered path must agree with a per-line reader on every text; chunks of
+    # 1 to 4 lines put comments, blank lines, CR LF ends and bad lines on both sides of chunk boundaries
     if bad is not None:
         lines.insert(bad[0], (bad[1], "\n"))
     if lines and not last_newline:
@@ -437,12 +480,14 @@ def test_load_room_equals_the_line_oracle(tmp_path_factory, lines, bad, last_new
     path = tmp_path_factory.mktemp("room") / "office_1.txt"
     path.write_bytes(text.encode("utf-8"))
     want = load_room_oracle(text, path, len(DEFAULT_CLASSES))
-    if isinstance(want, str):
-        with pytest.raises(ValidationError) as info:
-            load_room(path, DEFAULT_CLASSES)
-        assert str(info.value) == want
-        return
-    assert_room_arrays(load_room(path, DEFAULT_CLASSES), want)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "_CHUNK_ROWS", chunk_rows)
+        if isinstance(want, str):
+            with pytest.raises(ValidationError) as info:
+                load_room(path, DEFAULT_CLASSES)
+            assert str(info.value) == want
+            return
+        assert_room_arrays(load_room(path, DEFAULT_CLASSES), want)
 
 
 def test_write_file_replaces_whole_or_not_at_all(tmp_path, monkeypatch):
