@@ -10,6 +10,9 @@ div matmul transpose reshape sum_ exp log relu take_rows scatter_rows``;
 backward rule of every primitive is itself built from primitives, so
 running ``backward(..., create_graph=True)`` produces gradients that are
 again differentiable.  That is what the second-order meta-update relies on.
+While a tape records, ``take_rows`` of a recorded tensor by a slice is
+recorded once on it, so a row block is one node however many blocks read
+it; ``matmul`` with an inner size of 1 is ``a * b``, the bits of ``a @ b``.
 
 Ownership: a :class:`Tensor` is a value, an array plus its ``node`` (None for
 a constant).  A node holds its parents' nodes, its vjp and its tape, never
@@ -39,18 +42,18 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, ValidationError
 
-_LOCAL = threading.local()
+
+class _Local(threading.local):
+    def __init__(self):  # runs once in each thread that reads it
+        self.stack = []  # the tapes that record, innermost last; None while a backward records nowhere
 
 
-def _stack() -> list:
-    if not hasattr(_LOCAL, "stack"):
-        _LOCAL.stack = []
-    return _LOCAL.stack
+_LOCAL = _Local()
 
 
 def active_tape():
     """The tape new operations record on, or None when nothing records."""
-    stack = _stack()
+    stack = _LOCAL.stack
     return stack[-1] if stack else None
 
 
@@ -64,13 +67,15 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self.swept = False  # set by a backward without create_graph, which drops the vjps
+        self.slices: dict[tuple, Tensor] = {}  # (node, start, stop, step) -> that slice's take_rows, taken once
 
     def __enter__(self):
-        _stack().append(self)
+        _LOCAL.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _stack().pop()
+        _LOCAL.stack.pop()
+        self.slices.clear()
         # nodes and their tape point at each other, and exp's vjp at its own
         # output, whose node owns that vjp: cut both cycles, and the parent
         # links so that a value held past the block pins no node
@@ -175,6 +180,8 @@ def _record(data, parents: tuple, vjp: Callable) -> Tensor:
 
 def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = sum_(g, axis=0)
     for axis, size in enumerate(shape):
@@ -250,7 +257,8 @@ def matmul(a, b) -> Tensor:
         return (matmul(g, transpose(a_factor)) if a_factor is not None else None,
                 matmul(transpose(b_factor), g) if b_factor is not None else None)
 
-    return _record(a.data @ b.data, (a.node, b.node), vjp)
+    # an outer product ([m, 1] @ [1, n]) is one product per entry and no sum, so ``*`` gives the bits of ``@``
+    return _record(a.data * b.data if a.shape[1] == 1 else a.data @ b.data, (a.node, b.node), vjp)
 
 
 def transpose(a) -> Tensor:
@@ -325,14 +333,20 @@ def relu(a) -> Tensor:
 
 
 def take_rows(a, rows) -> Tensor:
-    """Rows ``rows`` of ``a``: a slice, or an index array without repeats."""
-    a = _lift(a)
+    """Rows ``rows`` of ``a``: a slice, or an index array without repeats; a recorded slice is taken once per tape."""
+    a, tape = _lift(a), active_tape()
+    key = (a.node, rows.start, rows.stop, rows.step) if isinstance(rows, slice) else None  # a slice hashes from 3.12 only
+    if tape is not None and key in tape.slices:
+        return tape.slices[key]
     n_rows = a.shape[0]
 
     def vjp(g):
         return (scatter_rows(g, rows, n_rows),)
 
-    return _record(np.ascontiguousarray(a.data[rows]), (a.node,), vjp)
+    out = _record(np.ascontiguousarray(a.data[rows]), (a.node,), vjp)
+    if out.node is not None and key is not None:
+        tape.slices[key] = out
+    return out
 
 
 def scatter_rows(a, rows, n_rows: int) -> Tensor:
@@ -472,7 +486,7 @@ def backward(loss, tape: Tape, wrt: Mapping[str, Tensor], create_graph: bool = F
     nodes = list(tape.nodes)
     # record the backward ops on the same tape (create_graph) or, with None
     # on top of the stack, nowhere
-    stack = _stack()
+    stack = _LOCAL.stack
     stack.append(tape if create_graph else None)
     try:
         for node in reversed(nodes):

@@ -235,6 +235,12 @@ def _raise_at_bad_line(path, lines, n_classes: int, first: int) -> None:
         table = table if bad is None else _parse_points(kept[:bad])
         check_points(path, table["xyz"], table["rgb"], table["labels"], n_classes, linenos)
     if bad is not None:
+        try:  # loadtxt rejects an integer past int64, which int() reads, out of range, as the per-line reader does
+            x, y, z, *ints = kept[bad].split()
+            r, g, b, label = [min(max(int(v), -1), 256) for v in ints]
+            check_points(path, np.array([[x, y, z]], float), np.array([[r, g, b]]), np.array([label]), n_classes, linenos[bad:])
+        except ValueError:  # a wrong field count, or a field that does not parse
+            pass
         raise ValidationError(f"{path}:{linenos[bad]}: expected 'x y z r g b label' with integer r g b label, got {kept[bad]!r}")
 
 

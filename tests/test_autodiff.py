@@ -49,21 +49,26 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    params = ParamStore({"a": rng.normal(size=(3, 3)), "b": rng.normal(size=(3, 3))})
 
     def loss_of(store):
         with Tape() as tape:
             tt = store.tensors()
             return sum_(matmul(tt["a"], tt["b"])).item()
 
-    fd = finite_diff_gradient(loss_of, params, eps=1e-5)
-    with Tape() as tape:
-        tt = params.tensors()
-        loss = sum_(matmul(tt["a"], tt["b"]))
-        grads = backward(loss, tape, tt)
-    for name in params.keys():
-        rel = np.abs(grads[name].data - fd[name]) / np.maximum(np.abs(fd[name]), 1e-12)
-        assert rel.max() <= 1e-7
+    for shapes in (((3, 3), (3, 3)), ((4, 1), (1, 3))):  # an inner size of 1 is computed as a product
+        params = ParamStore({"a": rng.normal(size=shapes[0]), "b": rng.normal(size=shapes[1])})
+        for dtype in (np.float32, np.float64):
+            a, b = params["a"].astype(dtype), params["b"].astype(dtype)
+            product = matmul(Tensor(a), Tensor(b)).data
+            assert product.dtype == dtype and np.array_equal(product, a @ b)
+        fd = finite_diff_gradient(loss_of, params, eps=1e-5)
+        with Tape() as tape:
+            tt = params.tensors()
+            loss = sum_(matmul(tt["a"], tt["b"]))
+            grads = backward(loss, tape, tt)
+        for name in params.keys():
+            rel = np.abs(grads[name].data - fd[name]) / np.maximum(np.abs(fd[name]), 1e-12)
+            assert rel.max() <= 1e-7, shapes
 
 
 def test_relu_values_and_gradients():
@@ -554,6 +559,22 @@ def test_tape_keeps_only_what_the_backward_reads():
     finally:
         gc.enable()
     assert np.array_equal(grads["b"].data, (x.data @ w.data > 0).sum(axis=0).astype(float))
+
+
+def test_tape_takes_a_slice_of_a_recorded_tensor_once():
+    w = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+    const = Tensor(np.arange(12.0).reshape(6, 2))
+    assert take_rows(w, slice(0, 2)) is not take_rows(w, slice(0, 2))  # no tape records
+    with Tape() as tape:
+        top = take_rows(w, slice(0, 2))
+        assert take_rows(w, slice(0, 2)) is top and take_rows(w, slice(2, 6)) is not top
+        assert take_rows(w, np.array([0, 1])) is not take_rows(w, np.array([0, 1]))  # index arrays are not kept
+        assert take_rows(const, slice(0, 2)) is not take_rows(const, slice(0, 2))  # nor constants
+        assert len(tape) == 4
+        loss = sum_(mul(top, top)) + sum_(take_rows(w, slice(0, 2)))
+        grads = backward(loss, tape, {"w": w})
+    assert not tape.slices
+    assert np.array_equal(grads["w"].data, np.concatenate([2 * w.data[:2] + 1, np.zeros((4, 2))]))
 
 
 def test_param_store_rejects_mixed_dtypes():

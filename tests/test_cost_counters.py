@@ -28,10 +28,14 @@ COUNTED = ("tape_nodes", "backward_calls", "matmul_calls", "matmul_flop")
 # blocks), the per-block scales of the query tapes (12) and the 48-node
 # pull-back loss sum(phi * G) are gone: 960 -> 936 first order, 1984 -> 1912
 # second order.  The pool is a composite gather, a reshape, take_rows and
-# transpose per forward (24 forwards per step)
+# transpose per forward (24 forwards per step).  A tape takes each row block
+# of head.0.w once, not once per forward: a tape of 12 forwards records 2
+# take_rows where it recorded 24, and the second-order support tape's
+# create_graph sweep 2 scatter_rows where it recorded 24, so 936 -> 892 first
+# order (two such tapes) and 1912 -> 1868 second order
 EXPECTED = {
-    ("first_order", 32): {"tape_nodes": 936, "backward_calls": 2, "matmul_calls": 624, "matmul_flop": 310_247_424},
-    ("second_order", 1024): {"tape_nodes": 1912, "backward_calls": 14, "matmul_calls": 1296,
+    ("first_order", 32): {"tape_nodes": 892, "backward_calls": 2, "matmul_calls": 624, "matmul_flop": 310_247_424},
+    ("second_order", 1024): {"tape_nodes": 1868, "backward_calls": 14, "matmul_calls": 1296,
                              "matmul_flop": 11_783_897_088},
 }
 

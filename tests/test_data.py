@@ -459,7 +459,8 @@ ROOM_LINES = st.one_of(
     st.tuples(point_lines(), point_lines()).map("\x0c".join),  # two records on one line: one line to load_room
 )
 BAD_LINES = ["0 0 0 1 1 1", "0 0 x 1 1 1 0", "0 0 0 1 6.5 1 0", "0 0 0 1 1 1 0 # note", "nan 0 0 1 1 1 0",
-             "0 0 0 300 1 1 0", "0 0 0 -1 1 1 0", "0 0 0 1 1 1 99", "0 0 0 1 1 1 -1"]
+             "0 0 0 300 1 1 0", "0 0 0 -1 1 1 0", "0 0 0 1 1 1 99", "0 0 0 1 1 1 -1",
+             "0 0 0 1 1 1 99999999999999999999999", "0 0 0 99999999999999999999 1 1 0"]  # past int64
 
 
 @given(

@@ -283,6 +283,33 @@ def test_meta_gradient_bits_match_one_tape_per_task(mode, dtype):
         assert all(grads[n].dtype == dtype for n in want)
 
 
+def test_a_tape_of_blocks_takes_each_head_row_block_once():
+    # the head's first layer reads a local and a global row block of head.0.w in every forward
+    config = PointNetConfig(num_classes=len(DEFAULT_CLASSES), points_per_block=32)
+    task = SegmentationTask(random_episode(32, 12, 1, config.num_classes, seed=0, dtype=np.float32), config)
+    with Tape() as tape:
+        leaves = init_params(config, seed=0).tensors()
+        for term in task.support_terms:
+            term(leaves)
+        taken = [node for node in tape.nodes if leaves["head.0.w"].node in node.parents]
+    assert len(taken) == 2
+
+
+@pytest.mark.parametrize(("use_tnet", "points"), [(False, 32), (True, 32), (False, 300)])  # 300 is past the pool width
+def test_first_order_set_gradient_is_the_last_first_sum_of_its_blocks(use_tnet, points):
+    # one tape over 12 blocks adds their gradients as its sweep meets them, last block first
+    config = PointNetConfig(num_classes=len(DEFAULT_CLASSES), points_per_block=points, use_tnet=use_tnet)
+    theta = init_params(config, seed=0)
+    terms = SegmentationTask(random_episode(points, 12, 1, config.num_classes, seed=1, dtype=np.float32),
+                             config).support_terms
+    grads, _ = trainer_module._leaf_gradient(theta, terms, len(terms))
+    summed = None
+    for b in reversed(range(len(terms))):
+        block, _ = trainer_module._leaf_gradient(theta, terms[b:b + 1], len(terms))
+        summed = block if summed is None else {n: summed[n] + block[n] for n in block}
+    assert all(np.array_equal(grads[n], summed[n]) for n in theta)
+
+
 def test_second_order_meta_gradient_peak_memory():
     # default widths, 2 support blocks and 2 or 6 query blocks, float32. The
     # traced peak is exact for fixed shapes. Second order at P=128: 21.2 MB
