@@ -26,7 +26,13 @@ the other one needs a gradient; ``relu`` and ``exp`` keep their output;
 when the vjp runs, as a 1-byte bool array: a float times a bool has the
 bits of a float times 1.0 or 0.0.  A ``backward`` without ``create_graph``
 is a tape's last sweep: it drops each vjp as it passes it, and the tape
-refuses a further sweep.
+refuses a further sweep.  As nothing records its sums, it adds a node's
+gradient contributions in numpy: the second makes a new array, and the
+later ones go into that array in place, in the order ``add`` would take
+them, so the bits are those of a recording sweep.  It writes only the
+arrays it made, each while its node has yet to run (a vjp may hand it on to
+the node's parents, but the sweep reaches no node twice); a seed, a vjp's
+output and a returned gradient are never written.
 
 Tapes are single-writer: build one tape per task evaluation and do not share
 it across threads.  Parameter stores are plain read-only data and may be
@@ -397,8 +403,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
     onehot[np.arange(n_points), labels] = 1
     # the row-max shift is a constant: softmax is shift invariant, so the
-    # gradient is unaffected and values stay finite
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
+    # gradient is unaffected and values stay finite; a column-major copy takes
+    # each row's max as C - 1 contiguous sweeps, not P reductions of C numbers
+    shift = Tensor(np.asfortranarray(logits.data).max(axis=1, keepdims=True))
     shifted = sub(logits, shift)
     logsumexp = log(sum_(exp(shifted), axis=1, keepdims=True))
     logprobs = sub(shifted, logsumexp)
@@ -484,6 +491,7 @@ def backward(loss, tape: Tape, wrt: Mapping[str, Tensor], create_graph: bool = F
 
     kept = {tensor.node for tensor in wrt.values()}
     nodes = list(tape.nodes)
+    owned = set()  # nodes whose gradient sum is an array this sweep made; none gains a term once it has run
     # record the backward ops on the same tape (create_graph) or, with None
     # on top of the stack, nowhere
     stack = _LOCAL.stack
@@ -500,7 +508,15 @@ def backward(loss, tape: Tape, wrt: Mapping[str, Tensor], create_graph: bool = F
                 if pg is None or parent is None:
                     continue
                 held = grads.get(parent)
-                grads[parent] = pg if held is None else add(held, pg)
+                if held is None:
+                    grads[parent] = pg
+                elif create_graph:
+                    grads[parent] = add(held, pg)
+                elif parent in owned:
+                    np.add(held.data, pg.data, out=held.data)
+                else:
+                    grads[parent] = Tensor(held.data + pg.data)
+                    owned.add(parent)
     finally:
         stack.pop()
 

@@ -252,8 +252,9 @@ def _parse_room(path, text, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.
     """The float64 xyz and uint8 rgb and labels of room file ``path``'s ``text``, parsed ``_CHUNK_ROWS`` lines or so at a time.
 
     The arrays are allocated once for every line and trimmed to the points.  Each chunk is checked against every
-    rule a line can break, its int64 colors and labels before they are narrowed.  The first chunk that breaks one
-    is scanned on its own for the ``path:line`` it names, so an error holds no more than a valid load does.
+    rule a line can break: its coordinates once copied, its int64 colors and labels before they are narrowed.  The
+    first chunk that breaks one is scanned on its own for the ``path:line`` it names, so an error holds no more than a
+    valid load does.
     """
     n_lines, n_classes = text.count("\n") + 1, min(n_classes, 256)  # a label past 255 cannot be narrowed
     xyz, rgb, labels = np.empty((n_lines, 3)), np.empty((n_lines, 3), np.uint8), np.empty(n_lines, np.uint8)
@@ -263,10 +264,12 @@ def _parse_room(path, text, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.
         end = len(text) if end < 0 else end
         lines = _text_lines(text[start:end])
         table = _parse_points(lines)
-        if table is None or not (np.isfinite(table["xyz"]).all() and _below(table["rgb"], 256) and _below(table["labels"], n_classes)):
+        if table is not None:  # the finite check reads the contiguous copy: on the strided field it took as long again
+            rows = slice(n, n + len(table))
+            xyz[rows] = table["xyz"]
+        if table is None or not (np.isfinite(xyz[rows]).all() and _below(table["rgb"], 256) and _below(table["labels"], n_classes)):
             _raise_at_bad_line(path, lines, n_classes, first)
-        rows = slice(n, n + len(table))
-        xyz[rows], rgb[rows], labels[rows] = table["xyz"], table["rgb"], table["labels"]
+        rgb[rows], labels[rows] = table["rgb"], table["labels"]
         n, start, first = rows.stop, end + 1, first + len(lines)
         del lines, table  # before the next chunk is split, so one chunk is in flight
     if not n:  # raises: blank and comment lines hold no point

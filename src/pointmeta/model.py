@@ -121,15 +121,18 @@ def _dense_chain(tensors, prefix: str, n_layers: int, *parts) -> Tensor:
     """Dense relu layers whose first layer takes its input as column blocks.
 
     Each part multiplies its own row block of the first weight, so the
-    blocks are never concatenated; a [1, H] product broadcasts in ``add``.
+    blocks are never concatenated.  The parts are taken last first, the
+    bias joining the last one's term: the head's last part is the pooled
+    [1, F] row, so the bias is added to H numbers, and its gradient summed
+    over one row, before that [1, H] term broadcasts in ``add``.
     """
-    w, x, start = tensors[f"{prefix}.0.w"], None, 0
-    for part in parts:
-        weight = w if len(parts) == 1 else take_rows(w, slice(start, start + part.shape[1]))
-        start += part.shape[1]
-        term = matmul(part, weight)
-        x = term if x is None else x + term
-    x = relu(x + tensors[f"{prefix}.0.b"])
+    w, x = tensors[f"{prefix}.0.w"], tensors[f"{prefix}.0.b"]
+    stop = w.shape[0]
+    for part in reversed(parts):
+        weight = w if len(parts) == 1 else take_rows(w, slice(stop - part.shape[1], stop))
+        stop -= part.shape[1]
+        x = matmul(part, weight) + x
+    x = relu(x)
     for i in range(1, n_layers):
         x = relu(matmul(x, tensors[f"{prefix}.{i}.w"]) + tensors[f"{prefix}.{i}.b"])
     return x
@@ -143,8 +146,11 @@ def _pooled_chain(tensors, prefix: str, n_layers: int, x: Tensor) -> Tensor:
     the pool's values, first maxima and gradients stay the same, as the rows left
     out get none from its gather.  That pass is numpy in place, its products
     through the counted ``matmul``; the last one is ``W.T @ h.T``, so each column
-    of the chain is a contiguous row to take the first maximum of.  With no tape
-    recording, the chain runs once on all P rows.
+    of the chain is a contiguous row to take the first maximum of.  The last relu
+    is not applied: a column whose maximum is above 0 has the same first maximum
+    without it, and one whose maximum is at most 0 is all zeros after it, so
+    its first maximum is row 0.  With no tape recording, the chain runs once on
+    all P rows.
     """
     width = tensors[f"{prefix}.{n_layers - 1}.b"].shape[0]
     if x.shape[0] > width and active_tape() is not None:
@@ -157,9 +163,10 @@ def _pooled_chain(tensors, prefix: str, n_layers: int, x: Tensor) -> Tensor:
         w, b = layers[-1]
         deep = matmul(Tensor(w.T), Tensor(h.T)).data  # [F, P]
         deep += b[:, None]
-        np.maximum(deep, 0, out=deep)
+        first = np.argmax(deep, axis=1)
+        first[deep[np.arange(width), first] <= 0] = 0  # a column the relu zeroes everywhere: its first maximum is row 0
         keep = np.zeros(x.shape[0], dtype=bool)
-        keep[np.argmax(deep, axis=1)] = True
+        keep[first] = True
         keep[np.flatnonzero(~keep)[: width - np.count_nonzero(keep)]] = True
         x = take_rows(x, np.flatnonzero(keep))
     return max_over_points(_dense_chain(tensors, prefix, n_layers, x))
@@ -195,9 +202,15 @@ def forward(config: PointNetConfig, params, features, return_pooled: bool = Fals
 
     # run the pipeline in a canonical point order: BLAS matmul kernels are
     # not bit-stable under row permutation, so sorting the rows first makes
-    # permutation equivariance exact instead of approximate; the sort is a
-    # constant, so only the logits go back to the caller's order on the tape
-    order = np.lexsort(x.T[::-1])
+    # permutation equivariance exact instead of approximate.  The order is one
+    # sort of each row's bytes, any total order on row contents serving: only
+    # identical rows tie, and they may come out in any order, as swapping them
+    # changes no value.  The sort is a constant, so only the logits go back to
+    # the caller's order on the tape
+    x = np.ascontiguousarray(x)
+    order = np.argsort(x.view(np.dtype((np.void, x.itemsize * INPUT_DIM))).ravel())
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
     x = x[order]
 
     if config.use_tnet:
@@ -208,7 +221,7 @@ def forward(config: PointNetConfig, params, features, return_pooled: bool = Fals
     local = _dense_chain(tensors, "mlp1", len(config.mlp1_widths), *inputs)
     pooled = _pooled_chain(tensors, "mlp2", len(config.mlp2_widths), local)
     h = _dense_chain(tensors, "head", len(config.seg_head_widths), local, pooled)
-    logits = take_rows(matmul(h, tensors["out.w"]) + tensors["out.b"], np.argsort(order))
+    logits = take_rows(matmul(h, tensors["out.w"]) + tensors["out.b"], inverse)
     return (logits, pooled) if return_pooled else logits
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointmeta import autodiff as autodiff_module
 from pointmeta.autodiff import (
     ParamStore,
     Tape,
@@ -309,6 +310,41 @@ def test_backward_seeds_give_the_gradient_of_the_weighted_sum():
     assert np.array_equal(g, g_sum) and np.array_equal(h, h_sum)
     np.testing.assert_allclose(g, u * (1 + x0) * np.exp(x0) + v * (x0 > 0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(h, w * u * (2 + x0) * np.exp(x0), rtol=1e-12, atol=1e-12)
+
+
+def test_backward_sums_in_place_only_into_arrays_it_made(monkeypatch):
+    # s = a + b: add's vjp hands s's gradient, itself a sum of three, to a and b as one array; a
+    # and b then take three more contributions each (b two from b * b), and a is in wrt.  A sweep
+    # without create_graph adds in numpy, in place after a node's second contribution: the same bits
+    # as create_graph, which sums with add, and never a write into a seed, a vjp's output or a result
+    rng = np.random.default_rng(13)
+    x0, w0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    seeds = {name: rng.normal(size=(4, 3)) for name in ("u", "v", "d", "q", "y1", "y2", "y3")}
+    before = {name: seed.copy() for name, seed in seeds.items()}
+
+    def sweep(create_graph):
+        x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        with Tape() as tape:
+            a, b = mul(x, w), exp(x)
+            u, v, d, q = mul(a, 2.0), relu(a), sub(b, a), mul(b, b)
+            s = add(a, b)
+            y1, y2, y3 = mul(s, 3.0), exp(s), relu(s)
+            outputs = dict(zip(seeds, (u, v, d, q, y1, y2, y3)))
+            grads = backward({outputs[name]: seed for name, seed in seeds.items()}, tape, {"x": x, "w": w, "a": a},
+                             create_graph=create_graph)
+        return {name: g.data for name, g in grads.items()}
+
+    recorded = sweep(True)
+    adds, add_primitive = [], autodiff_module.add
+    monkeypatch.setattr(autodiff_module, "add", lambda *args: adds.append(args) or add_primitive(*args))
+    first = sweep(False)
+    assert not adds
+    kept = {name: g.copy() for name, g in first.items()}
+    assert all(np.array_equal(first[name], recorded[name]) for name in recorded)
+    assert all(np.array_equal(seeds[name], before[name]) for name in seeds)
+    second = sweep(False)
+    assert all(np.array_equal(first[name], kept[name]) and np.array_equal(second[name], kept[name]) for name in kept)
+    assert all(np.array_equal(seeds[name], before[name]) for name in seeds)
 
 
 def test_backward_untouched_parameter_gets_zeros():

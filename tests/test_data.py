@@ -316,8 +316,9 @@ def read_room_oracle(text: str):
 def load_room_oracle(text: str, path, n_classes: int):
     """What ``load_room`` gives for ``text``: (xyz, rgb, labels), or the message it raises.
 
-    Lines are split on "\\n" alone and stripped; blank and "#" lines are skipped; fields are parsed
-    with float() and int().  The first line that does not parse or breaks a point rule is named.
+    Lines are split on "\\n" alone and stripped; blank and "#" lines are skipped; fields are ASCII
+    numbers, parsed with float() and int(), which would also read a "_" digit separator or a non-ASCII
+    digit.  The first line that does not parse or breaks a point rule is named.
     """
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -325,7 +326,9 @@ def load_room_oracle(text: str, path, n_classes: int):
         if not line or line.startswith("#"):
             continue
         try:  # a wrong field count or a field that does not parse
-            x, y, z, r, g, b, label = line.split()
+            x, y, z, r, g, b, label = fields = line.split()
+            if not all(field.isascii() and "_" not in field for field in fields):
+                raise ValueError("not an ASCII number")
             xyz, rgb, label = [float(x), float(y), float(z)], [int(r), int(g), int(b)], int(label)
         except ValueError:
             return f"{path}:{lineno}: expected 'x y z r g b label' with integer r g b label, got {line!r}"
@@ -460,7 +463,8 @@ ROOM_LINES = st.one_of(
 )
 BAD_LINES = ["0 0 0 1 1 1", "0 0 x 1 1 1 0", "0 0 0 1 6.5 1 0", "0 0 0 1 1 1 0 # note", "nan 0 0 1 1 1 0",
              "0 0 0 300 1 1 0", "0 0 0 -1 1 1 0", "0 0 0 1 1 1 99", "0 0 0 1 1 1 -1",
-             "0 0 0 1 1 1 99999999999999999999999", "0 0 0 99999999999999999999 1 1 0"]  # past int64
+             "0 0 0 1 1 1 99999999999999999999999", "0 0 0 99999999999999999999 1 1 0",  # past int64
+             "0 0 0 1 1 1 0_1", "0 0 0 1 1 1 \uff15", "1_0 0 0 1 1 1 0", "\uff11 0 0 1 1 1 0"]  # int() and float() read these
 
 
 @given(

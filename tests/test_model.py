@@ -74,19 +74,37 @@ def test_param_count_independent_of_points_per_block():
     assert num_params(a) == num_params(b)
 
 
+def _blocks(rng, points) -> dict[str, np.ndarray]:
+    """Random normal rows; the same rows resampled with replacement, as a sparse block is, so rows
+    repeat; and rows tied in column 0 but not elsewhere."""
+    block = rng.normal(size=(points, 9)).astype(np.float32)
+    tied = block.copy()
+    tied[:, 0] = rng.choice(block[:3, 0], size=points)
+    return {"distinct": block, "duplicated": block[rng.integers(0, points, size=points)], "column 0 tied": tied}
+
+
 def test_forward_permutation_equivariance_bit_exact():
     rng = np.random.default_rng(3)
-    # 20 points fit the mlp2 width of 32; on a tape, 40 are gathered to 32 rows
-    # before recording, and 80 are gathered for the T-Net's width of 64 as well
-    for recording, (config, points) in itertools.product((False, True), ((MINI, 20), (MINI, 40), (MINI_TNET, 80))):
+    # 20 points fit the mlp2 width of 32 and the T-Net's of 64; on a tape, 40 are gathered
+    # to 32 rows before recording, and 80 are gathered for the T-Net's width of 64 as well.
+    # On a tape the logits are also swept back, seeded with themselves, so a row's seed
+    # depends on its contents alone: the weight gradients sum rows in the canonical order
+    cases = ((MINI, 20), (MINI, 40), (MINI_TNET, 20), (MINI_TNET, 80))
+
+    def run(config, params, block, recording):
+        with Tape() if recording else contextlib.nullcontext() as tape:
+            tensors = params.tensors()
+            out, pooled = forward(config, tensors, block, return_pooled=True)
+            grads = backward({out: out.data}, tape, tensors) if recording else {}
+        return out.data, pooled.data, {name: grad_array(g) for name, g in grads.items()}
+
+    for kind, recording, (config, points) in itertools.product(("distinct", "duplicated", "column 0 tied"), (False, True), cases):
         params = nudged_tnet(init_params(config, seed=1), rng) if config.use_tnet else init_params(config, seed=1)
-        block = rng.normal(size=(points, 9)).astype(np.float32)
+        block = _blocks(rng, points)[kind]
         perm = rng.permutation(points)
-        with Tape() if recording else contextlib.nullcontext():
-            out, pooled = forward(config, params, block, return_pooled=True)
-            out_p, pooled_p = forward(config, params, block[perm], return_pooled=True)
-        assert np.array_equal(out.data[perm], out_p.data)
-        assert np.array_equal(pooled.data, pooled_p.data)
+        (out, pooled, grads), (out_p, pooled_p, grads_p) = run(config, params, block, recording), run(config, params, block[perm], recording)
+        assert np.array_equal(out[perm], out_p) and np.array_equal(pooled, pooled_p), (kind, recording, points)
+        assert all(np.array_equal(grads[name], grads_p[name]) for name in grads), (kind, points)
 
 
 def test_untaped_forward_runs_the_pooled_chain_once(monkeypatch):
@@ -143,9 +161,11 @@ def _concatenated_head_logits(config, params, x):
 def test_pool_keeps_each_columns_first_maximum_padded_with_the_lowest_rows(monkeypatch, config, prefix, n_layers, width,
                                                                            dtype, excess):
     arrays = {n: a.copy() for n, a in init_params(config, seed=2, dtype=dtype).items()}
-    # a dead unit: the last layer's column 0 is negative on every row before its relu and 0 after it,
-    # so its first maximum is row 0
-    arrays[f"{prefix}.{n_layers - 1}.b"][0] = -1e3
+    # dead units: the last layer's column 0 is negative on every row before its relu and column 1
+    # exactly 0, so both are 0 after it, their first maximum is row 0 and they pass back no gradient
+    last_w, last_b = f"{prefix}.{n_layers - 1}.w", f"{prefix}.{n_layers - 1}.b"
+    arrays[last_b][:2] = -1e3, 0
+    arrays[last_w][:, 1] = 0
     points = width + 1 if excess == 1 else 4 * width
     rng = np.random.default_rng(points)
     x = rng.normal(size=(points, arrays[f"{prefix}.0.w"].shape[0])).astype(dtype)
@@ -157,13 +177,17 @@ def test_pool_keeps_each_columns_first_maximum_padded_with_the_lowest_rows(monke
         return take_rows(a, rows)
 
     monkeypatch.setattr(model_module, "take_rows", recorded)
-    with Tape():
-        pooled = model_module._pooled_chain(ParamStore(arrays).tensors(), prefix, n_layers, Tensor(x))
+    with Tape() as tape:
+        tensors = ParamStore(arrays).tensors()
+        pooled = model_module._pooled_chain(tensors, prefix, n_layers, Tensor(x))
+        grads = backward(sum_(pooled), tape, tensors)
     deep = _chain(arrays, prefix, n_layers, x)
     want = np.isin(np.arange(points), np.argmax(deep, axis=0))
     want[np.flatnonzero(~want)[: width - np.count_nonzero(want)]] = True
-    assert len(gathered) == 1 and np.array_equal(gathered[0], np.flatnonzero(want))
+    assert len(gathered) == 1 and np.array_equal(gathered[0], np.flatnonzero(want)) and want[0]
     assert np.array_equal(pooled.data, deep.max(axis=0, keepdims=True))
+    assert not pooled.data[0, :2].any() and pooled.data[0, 2:].any()
+    assert not grad_array(grads[last_w])[:, :2].any() and not grad_array(grads[last_b])[:2].any()
 
 
 def test_forward_matches_concatenated_head_reference():
