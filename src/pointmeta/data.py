@@ -473,12 +473,6 @@ def resample_block(block: Block, n_points: int, rng: np.random.Generator) -> Blo
     return replace(block, xyz=block.xyz[idx], rgb=block.rgb[idx], labels=block.labels[idx])
 
 
-def dominant_class(block: Block) -> int:
-    """Most frequent label in the block; ties go to the lowest class id."""
-    counts = np.bincount(block.labels)
-    return int(np.argmax(counts))
-
-
 # ---------------------------------------------------------------------------
 # synthetic scenes
 

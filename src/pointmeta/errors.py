@@ -30,8 +30,11 @@ class CapacityError(PointMetaError):
 
 
 class DivergenceError(PointMetaError):
-    """Training loss or its gradient became non-finite, or the loss blew up."""
+    """Training loss or its gradient, or an episode's adapted parameters, became non-finite, or the loss blew up.
 
-    def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
+    ``step`` counts the ``unit`` that diverged: a meta-step, or an evaluation episode.
+    """
+
+    def __init__(self, step: int, message: str, unit: str = "step"):
+        super().__init__(f"{unit} {step}: {message}")
         self.step = step

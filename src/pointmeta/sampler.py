@@ -1,11 +1,10 @@
 """Episodic N-way K-shot task construction over block datasets.
 
 A "sample" is one room block, resampled to a fixed point count and
-featurized.  Its category is either its source room's type (``room_type``
-mode) or the block's dominant semantic class (``semantic_composition``
-mode).  An episode draws n categories, then per category k support samples
-and t*k query samples, all without replacement, so support and query never
-share a block.
+featurized.  Its category is its source room's type: a task asks the
+network to adapt to a kind of environment.  An episode draws n categories,
+then per category k support samples and t*k query samples, all without
+replacement, so support and query never share a block.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Area, Block, dominant_class, featurize_block, partition_blocks, resample_block, write_file
+from .data import Area, Block, featurize_block, partition_blocks, resample_block, write_file
 from .errors import CapacityError, ConfigError
-
-CATEGORY_MODES = ("room_type", "semantic_composition")
 
 
 @dataclass(frozen=True)
@@ -26,13 +23,10 @@ class EpisodeSpec:
     ways: int
     shots: int
     query_multiplier: int = 1
-    category_mode: str = "room_type"
 
     def __post_init__(self):
         if self.ways < 1 or self.shots < 1 or self.query_multiplier < 1:
             raise ConfigError(f"ways, shots and query_multiplier must be >= 1, got {self}")
-        if self.category_mode not in CATEGORY_MODES:
-            raise ConfigError(f"category_mode must be one of {CATEGORY_MODES}, got {self.category_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -69,27 +63,20 @@ class Episode:
 
 
 class CategoryIndex:
-    """Category -> candidate blocks, with everything needed to materialize them."""
+    """Room type -> candidate blocks, with everything needed to materialize them."""
 
-    def __init__(self, areas, mode: str = "room_type", points_per_block: int = 1024):
-        if mode not in CATEGORY_MODES:
-            raise ConfigError(f"category_mode must be one of {CATEGORY_MODES}, got {mode!r}")
+    def __init__(self, areas, points_per_block: int = 1024):
         if isinstance(areas, Area):
             areas = [areas]
-        self.mode = mode
         self.points_per_block = points_per_block
         self._blocks: dict[tuple, Block] = {}
         self.categories: dict[str, list[BlockRef]] = {}
         for area in areas:
             for room in area.rooms:
                 for block in partition_blocks(room):
-                    if mode == "room_type":
-                        category = room.room_type
-                    else:
-                        category = area.classes[dominant_class(block)]
-                    ref = BlockRef(area=area.name, room=room.name, grid=block.grid, category=category)
+                    ref = BlockRef(area=area.name, room=room.name, grid=block.grid, category=room.room_type)
                     self._blocks[ref.identity] = block
-                    self.categories.setdefault(category, []).append(ref)
+                    self.categories.setdefault(room.room_type, []).append(ref)
         if not self.categories:
             raise CapacityError("dataset produced no candidate blocks in any category")
 
@@ -100,8 +87,8 @@ class CategoryIndex:
         return BlockSample(ref=ref, resample_seed=resample_seed, features=features, labels=resampled.labels)
 
 
-def index_categories(areas, mode: str = "room_type", points_per_block: int = 1024) -> CategoryIndex:
-    return CategoryIndex(areas, mode=mode, points_per_block=points_per_block)
+def index_categories(areas, points_per_block: int = 1024) -> CategoryIndex:
+    return CategoryIndex(areas, points_per_block=points_per_block)
 
 
 def sample_episode(index: CategoryIndex, spec: EpisodeSpec, rng: np.random.Generator) -> Episode:
@@ -110,8 +97,6 @@ def sample_episode(index: CategoryIndex, spec: EpisodeSpec, rng: np.random.Gener
     Categories with fewer than k + t*k blocks are excluded from the draw
     rather than padded; running out of eligible categories is an error.
     """
-    if spec.category_mode != index.mode:
-        raise ConfigError(f"episode category_mode {spec.category_mode!r} differs from the index's mode {index.mode!r}")
     needed = spec.shots + spec.query_multiplier * spec.shots
     names = sorted(index.categories)
     eligible = [c for c in names if len(index.categories[c]) >= needed]

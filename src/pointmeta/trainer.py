@@ -252,15 +252,21 @@ def adapt_and_eval(
     beta: float,
     inner_steps: int = 1,
 ) -> EvalReport:
-    """Sample episodes from the target areas, each block resampled to ``model.points_per_block``, adapt on S, score on Q."""
+    """Sample episodes from the target areas, each block resampled to ``model.points_per_block``, adapt on S, score on Q.
+
+    An episode whose adapted parameters are not finite raises a ``DivergenceError`` naming it.
+    """
     check_eval(episodes, inner_steps, beta)
-    index = index_categories(areas, mode=spec.category_mode, points_per_block=model.points_per_block)
+    index = index_categories(areas, points_per_block=model.points_per_block)
     total = np.zeros((model.num_classes, model.num_classes), dtype=np.int64)
     per_episode = []
-    for _ in range(episodes):
+    for i in range(episodes):
         episode = sample_episode(index, spec, rng)
         task = SegmentationTask(episode, model)
-        phi = inner_adapt(theta, task, beta, inner_steps)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead, as for meta_step
+            phi = inner_adapt(theta, task, beta, inner_steps)
+        if not all(np.isfinite(a).all() for a in phi.values()):
+            raise DivergenceError(i, f"adapted parameters became non-finite at beta {beta:g}", unit="episode")
         counts = np.zeros_like(total)
         for sample in episode.query:
             logits = forward(model, phi, sample.features)

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from pointmeta import cli
+from pointmeta.autodiff import grad_array
 from pointmeta.cli import _area_specs_from_json, _parse_run_config, main
 from pointmeta.data import _CHUNK_ROWS, DEFAULT_CLASSES, DEFAULT_PALETTE, load_dataset
 from pointmeta.model import load_checkpoint
@@ -151,6 +153,9 @@ def test_synth_bad_spec(tmp_path, capsys):
         ({"areas": [{"name": "X", "rooms": {"office": 2.0}}]}, "rooms.office: cannot read 2.0"),
         ({"densty": 70}, "densty: unknown key"),
         ({"areas": [{"name": "A", "rooms": {"office": 1}, "extra": 1}]}, "extra: unknown key"),
+        # a room type is read as the key it is, not as a dotted path into the rooms object
+        ({"areas": [{"name": "X", "rooms": {"office.x": "1"}}]}, "rooms.office.x: cannot read '1' as int"),
+        ({"areas": [{"name": "X", "rooms": {"office.x": 1}}]}, "no synthetic template for room type 'office.x'"),
     ],
     ids=[
         "density", "room_count", "area_entry", "classes", "negative_color_noise", "negative_room_tint",
@@ -159,7 +164,7 @@ def test_synth_bad_spec(tmp_path, capsys):
         "no_classes", "missing_class", "repeated_class", "class_with_space", "empty_area_name", "area_name_path",
         "area_name_parent", "repeated_area_name", "area_named_manifest", "area_named_vocab", "numeric_area_name",
         "numeric_class", "area_as_key_value_pairs", "string_density", "whole_float_room_count",
-        "misspelt_key", "unknown_area_key",
+        "misspelt_key", "unknown_area_key", "dotted_room_type_string_count", "dotted_room_type",
     ],
 )
 def test_synth_bad_spec_value_usage_error(tmp_path, capsys, update, named):
@@ -446,7 +451,7 @@ def test_pretrain_missing_data_path(tmp_path):
         ("meta", "beta_sweep", [1e-3, 1e-3], "meta.beta_sweep: two of [0.001, 0.001]"),
         ("data", "root", 5, "data.root"),
         ("data", "areas", ["AreaA", 1], "data.areas"),
-        ("episode", "category_mode", 5, "episode.category_mode"),
+        ("episode", "category_mode", 5, "episode.category_mode"),  # an unknown key: a category is a room type
         ("meta", "gradient_mode", True, "meta.gradient_mode"),
         # a JSON value is read only as its own type: no string number, no whole float
         ("episode", "ways", "2", "episode.ways: cannot read '2'"),
@@ -467,6 +472,8 @@ def test_pretrain_missing_data_path(tmp_path):
         ("meta", "beta_sweep", [-1], "meta.beta_sweep: beta must be finite and >= 0"),
         # beta is one rate per run, so the per-epoch schedule that overrode every swept rate is not read
         ("meta", "phase_betas", [5e-2], "meta.phase_betas: unknown key"),
+        # a category is its room's type, so the rule that chose another is not read, whichever it names
+        ("episode", "category_mode", "room_type", "episode.category_mode: unknown key"),
     ],
 )
 def test_pretrain_bad_config_value_usage_error(dataset, tmp_path, capsys, section, key, value, named):
@@ -534,7 +541,7 @@ def test_cross_validate_needs_two_areas(dataset, tmp_path, capsys, named):
 # every key the run-config reader reads, each set to a valid value: one training step, one eval episode
 FULL_RUN_CONFIG = {
     "data": {"root": "the dataset fixture", "areas": ["AreaA", "AreaB"], "points_per_block": 32},
-    "episode": {"ways": 2, "shots": 2, "queries": 1, "category_mode": "room_type"},
+    "episode": {"ways": 2, "shots": 2, "queries": 1},
     "model": {"mlp1_widths": [8, 8], "mlp2_widths": [8, 16], "seg_head_widths": [8], "use_tnet": False},
     "meta": {"alpha": 1e-3, "beta": 1e-3, "inner_steps": 1, "tasks_per_batch": 1, "gradient_mode": "first_order",
              "epochs": 1, "steps_per_epoch": 1, "beta_sweep": [1e-3]},
@@ -544,7 +551,7 @@ FULL_RUN_CONFIG = {
 # values out of the range that the reader checks, for both commands
 OUT_OF_RANGE = {
     "data.points_per_block": [0, -32],
-    "episode.ways": [0], "episode.shots": [0, -1], "episode.queries": [0], "episode.category_mode": ["room", ""],
+    "episode.ways": [0], "episode.shots": [0, -1], "episode.queries": [0],
     "model.mlp1_widths": [[0], []], "model.mlp2_widths": [[8, -1]], "model.seg_head_widths": [[0]],
     "meta.alpha": [0, -1, float("nan"), float("inf")], "meta.beta": [-1, float("nan")], "meta.inner_steps": [0],
     "meta.tasks_per_batch": [0], "meta.gradient_mode": ["third_order"], "meta.epochs": [-1],
@@ -663,6 +670,29 @@ def test_pretrain_divergence_exit_code(dataset, tmp_path, capsys):
     # the initial checkpoint and the partial loss record survive the abort
     assert (out / "ckpt_epoch0").exists()
     assert (out / "loss.csv").exists()
+
+
+def test_adapt_eval_divergence_exit_code(dataset, pretrained, tmp_path, capsys):
+    # no errstate here either: an adaptation that overflows ends in the one exit-3 line, and nothing is scored
+    out = tmp_path / "eval"
+    argv = ["adapt-eval", "--checkpoint", str(pretrained / "ckpt_epoch2"), "--data", str(dataset), "--shots", "2",
+            "--episodes", "2", "--beta", "1e30", "--inner-steps", "3", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"diverged: episode 0: adapted parameters became non-finite at beta 1e\+30\n", err), err
+    assert not out.exists()
+
+
+def test_cross_validate_rejects_category_mode(dataset, tmp_path, capsys):
+    # pretrain's rejection is a row of test_pretrain_bad_config_value_usage_error
+    cfg = json.loads(json.dumps(RUN_CONFIG))
+    cfg["data"] |= {"root": str(dataset), "areas": ["AreaA", "AreaB"]}
+    cfg["episode"]["category_mode"] = "room_type"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cross-validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: run config {cfg_path} episode.category_mode: unknown key\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_pretrain_beta_sweep(dataset, tmp_path, capsys):
@@ -1022,11 +1052,20 @@ def test_cross_validate_table(dataset, tmp_path, capsys):
     assert manifest_inputs(out) == sorted([str(cfg_path), *dataset_inputs(copy, "AreaA", "AreaB")])
 
 
-def test_gradcheck_passes_and_negative_control(capsys):
+def test_gradcheck_passes_and_negative_control(capsys, monkeypatch):
     assert main(["gradcheck", "--bits", "64"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert main(["gradcheck", "--bits", "32"]) == 0
-    assert main(["gradcheck", "--bits", "64", "--inject-error"]) == 1
+
+    # negative control: the first coordinate the battery compares reads a deliberately wrong tape gradient
+    calls = []
+
+    def first_wrong(grad):
+        calls.append(grad)
+        return grad_array(grad) * 1.5 + 1.0 if len(calls) == 1 else grad_array(grad)
+
+    monkeypatch.setattr(cli, "grad_array", first_wrong)
+    assert main(["gradcheck", "--bits", "64"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

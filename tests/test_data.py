@@ -19,7 +19,6 @@ from pointmeta.data import (
     Block,
     Room,
     SyntheticAreaSpec,
-    dominant_class,
     export_ply,
     featurize_block,
     generate_synthetic_area,
@@ -756,7 +755,7 @@ def test_labels_stay_one_byte_from_room_file_to_block_sample(tmp_path):
 @given(st.integers(1, 256).flatmap(lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), min_size=1, max_size=40))))
 @settings(max_examples=40, deadline=None)
 def test_uint8_labels_give_the_values_and_bytes_of_int64_labels(tmp_path_factory, case):
-    # the loss, its gradient, the dominant class, the confusion counts and the room file are the same either way
+    # the loss, its gradient, the confusion counts and the room file are the same either way
     m, values = case
     wide = np.array(values, dtype=np.int64)
     narrow = wide.astype(np.uint8)
@@ -772,7 +771,6 @@ def test_uint8_labels_give_the_values_and_bytes_of_int64_labels(tmp_path_factory
 
     assert loss_and_grad(narrow) == loss_and_grad(wide)
     blocks = [make_block(xyz, np.full((len(values), 3), 128, dtype=np.uint8), labels) for labels in (narrow, wide)]
-    assert dominant_class(blocks[0]) == dominant_class(blocks[1])
     counts = [accumulate(np.zeros((m, m), dtype=np.int64), predicted, labels) for labels in (narrow, wide)]
     assert counts[0].dtype == counts[1].dtype and np.array_equal(*counts)
     room, path = make_room(xyz, labels=wide), tmp_path_factory.mktemp("room") / "office_1.txt"
@@ -822,10 +820,6 @@ def test_synthetic_densities_honored():
     wall_area = 2 * (width + depth) * height
     assert abs(walls - wall_area * 55) <= 4  # four surfaces, each within +-1
 
-
-def test_dominant_class_tiebreak():
-    block = make_block(xyz=np.zeros((4, 3)), rgb=np.zeros((4, 3), dtype=np.int64), labels=np.array([2, 1, 1, 2]))
-    assert dominant_class(block) == 1
 
 
 def test_export_ply(tmp_path):

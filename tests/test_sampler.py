@@ -59,21 +59,6 @@ def test_index_six_room_types_like_a_real_building():
     assert set(index.categories) == {"office", "conference_room", "hallway", "copy_room", "pantry", "wc"}
 
 
-def test_semantic_composition_mode(synth_area):
-    index = index_categories(synth_area, mode="semantic_composition", points_per_block=32)
-    assert set(index.categories) <= set(DEFAULT_CLASSES)
-    assert len(index.categories) >= 2
-
-
-def test_episode_category_mode_must_match_the_index(synth_area):
-    # a room_type spec would otherwise draw the index's semantic categories
-    index = index_categories(synth_area, mode="semantic_composition", points_per_block=32)
-    with pytest.raises(ConfigError, match="'room_type'.*'semantic_composition'"):
-        sample_episode(index, EpisodeSpec(ways=2, shots=1), np.random.default_rng(0))
-    spec = EpisodeSpec(ways=2, shots=1, category_mode="semantic_composition")
-    assert set(sample_episode(index, spec, np.random.default_rng(0)).categories) <= set(DEFAULT_CLASSES)
-
-
 def test_episode_shape_two_way_six_shot(synth_area):
     index = index_categories(synth_area, points_per_block=32)
     spec = EpisodeSpec(ways=2, shots=6, query_multiplier=1)
@@ -117,8 +102,6 @@ def test_capacity_error_names_shortfall(synth_area):
 def test_spec_validation():
     with pytest.raises(ConfigError):
         EpisodeSpec(ways=0, shots=1)
-    with pytest.raises(ConfigError):
-        EpisodeSpec(ways=1, shots=1, category_mode="nope")
 
 
 def test_distribution_deterministic(synth_area):
