@@ -460,7 +460,7 @@ def cmd_cross_validate(args) -> int:
         swept = f"beta={run_meta.beta:g}: " if cfg.sweep else ""
         table = {test: {src: "" for src in names} for test in names}
         for source in areas:
-            index = index_categories(source, points_per_block=cfg.model.points_per_block)
+            index = index_categories([source], points_per_block=cfg.model.points_per_block)
             state = _run_pretrain(cfg, run_meta, cfg.seeds, index, model, run_out / f"pretrain_{source.name}")
             for target in areas:
                 if target.name == source.name:
@@ -485,10 +485,14 @@ def cmd_cross_validate(args) -> int:
 
 def _load_palette(path) -> dict[int, tuple[int, int, int]]:
     loaded, source = _load_json(path), f"palette {path}"
+    palette = {}
     for key in loaded:
-        if not key.isdecimal():
-            raise ConfigError(f"{source} {key}: class ids must be integers")
-    return {int(key): _field(loaded, key, _rgb, source=source) for key in loaded}
+        if not (key.isascii() and key.isdecimal()):
+            raise ConfigError(f"{source} {key}: class ids must be ASCII integers")
+        if int(key) in palette:
+            raise ConfigError(f"{source} {key}: class id {int(key)} is repeated")
+        palette[int(key)] = _field(loaded, key, _rgb, source=source)
+    return palette
 
 
 def cmd_export_ply(args) -> int:

@@ -189,7 +189,7 @@ def load_vocab(path) -> tuple[str, ...]:
         parts = line.split()
         if not parts:
             continue
-        if len(parts) != 2 or not parts[0].isdecimal():
+        if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdecimal()):
             raise ValidationError(f"{path}:{lineno}: expected 'label_id class_name'")
         label, name = int(parts[0]), parts[1]
         if label in classes or name in classes.values():

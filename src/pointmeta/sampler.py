@@ -9,12 +9,11 @@ replacement, so support and query never share a block.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Area, Block, featurize_block, partition_blocks, resample_block, write_file
+from .data import Block, featurize_block, partition_blocks, resample_block
 from .errors import CapacityError, ConfigError
 
 
@@ -25,34 +24,19 @@ class EpisodeSpec:
     query_multiplier: int = 1
 
     def __post_init__(self):
-        if self.ways < 1 or self.shots < 1 or self.query_multiplier < 1:
-            raise ConfigError(f"ways, shots and query_multiplier must be >= 1, got {self}")
-
-
-@dataclass(frozen=True)
-class BlockRef:
-    area: str
-    room: str
-    grid: tuple[int, int]
-    category: str
-
-    @property
-    def identity(self) -> tuple:
-        return (self.area, self.room, self.grid)
+        # each field named as a run config and the CLI spell it: `queries`, not `query_multiplier`
+        for name, value in (("ways", self.ways), ("shots", self.shots), ("queries", self.query_multiplier)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
 class BlockSample:
-    """One materialized sample: features plus where it came from."""
+    """One materialized sample: the indexed block it was drawn from, resampled and featurized."""
 
-    ref: BlockRef
-    resample_seed: int
+    block: Block
     features: np.ndarray  # [P, 9]
     labels: np.ndarray  # [P]
-
-    @property
-    def category(self) -> str:
-        return self.ref.category
 
 
 @dataclass
@@ -63,28 +47,20 @@ class Episode:
 
 
 class CategoryIndex:
-    """Room type -> candidate blocks, with everything needed to materialize them."""
+    """Room type -> the blocks of its rooms, in area, room and grid order."""
 
     def __init__(self, areas, points_per_block: int = 1024):
-        if isinstance(areas, Area):
-            areas = [areas]
         self.points_per_block = points_per_block
-        self._blocks: dict[tuple, Block] = {}
-        self.categories: dict[str, list[BlockRef]] = {}
+        self.categories: dict[str, list[Block]] = {}
         for area in areas:
             for room in area.rooms:
-                for block in partition_blocks(room):
-                    ref = BlockRef(area=area.name, room=room.name, grid=block.grid, category=room.room_type)
-                    self._blocks[ref.identity] = block
-                    self.categories.setdefault(room.room_type, []).append(ref)
+                self.categories.setdefault(room.room_type, []).extend(partition_blocks(room))
         if not self.categories:
             raise CapacityError("dataset produced no candidate blocks in any category")
 
-    def materialize(self, ref: BlockRef, resample_seed: int) -> BlockSample:
-        block = self._blocks[ref.identity]
+    def materialize(self, block: Block, resample_seed: int) -> BlockSample:
         resampled = resample_block(block, self.points_per_block, np.random.default_rng(resample_seed))
-        features = featurize_block(resampled)
-        return BlockSample(ref=ref, resample_seed=resample_seed, features=features, labels=resampled.labels)
+        return BlockSample(block=block, features=featurize_block(resampled), labels=resampled.labels)
 
 
 def index_categories(areas, points_per_block: int = 1024) -> CategoryIndex:
@@ -110,14 +86,14 @@ def sample_episode(index: CategoryIndex, spec: EpisodeSpec, rng: np.random.Gener
 
     support, query = [], []
     for category in chosen:
-        refs = index.categories[category]
-        order = rng.permutation(len(refs))
-        picks = [refs[i] for i in order[:needed]]
+        blocks = index.categories[category]
+        order = rng.permutation(len(blocks))
+        picks = [blocks[i] for i in order[:needed]]
         seeds = rng.integers(0, 2**31 - 1, size=needed)
-        for ref, seed in zip(picks[: spec.shots], seeds[: spec.shots]):
-            support.append(index.materialize(ref, int(seed)))
-        for ref, seed in zip(picks[spec.shots :], seeds[spec.shots :]):
-            query.append(index.materialize(ref, int(seed)))
+        for block, seed in zip(picks[: spec.shots], seeds[: spec.shots]):
+            support.append(index.materialize(block, int(seed)))
+        for block, seed in zip(picks[spec.shots :], seeds[spec.shots :]):
+            query.append(index.materialize(block, int(seed)))
     return Episode(support=support, query=query, categories=chosen)
 
 
@@ -143,47 +119,3 @@ def build_task_distribution(index: CategoryIndex, spec: EpisodeSpec, count: int,
     if count < 0:
         raise ConfigError(f"episode count must be >= 0, got {count}")
     return TaskDistribution(index=index, spec=spec, count=count, seed=seed)
-
-
-def write_episode_manifest(episodes, spec: EpisodeSpec, seed: int, path) -> None:
-    """Record (room, block, resample-seed) identities so a run can be replayed."""
-
-    def entry(sample: BlockSample):
-        return {
-            "area": sample.ref.area,
-            "room": sample.ref.room,
-            "block": list(sample.ref.grid),
-            "category": sample.ref.category,
-            "resample_seed": sample.resample_seed,
-        }
-
-    payload = {
-        "seed": seed,
-        "spec": asdict(spec),
-        "episodes": [
-            {
-                "index": i,
-                "categories": ep.categories,
-                "support": [entry(s) for s in ep.support],
-                "query": [entry(s) for s in ep.query],
-            }
-            for i, ep in enumerate(episodes)
-        ],
-    }
-    write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def replay_episode(index: CategoryIndex, manifest_entry: dict) -> Episode:
-    """Rebuild an episode from its manifest record."""
-
-    def materialize(entry):
-        ref = BlockRef(
-            area=entry["area"], room=entry["room"], grid=tuple(entry["block"]), category=entry["category"]
-        )
-        return index.materialize(ref, entry["resample_seed"])
-
-    return Episode(
-        support=[materialize(e) for e in manifest_entry["support"]],
-        query=[materialize(e) for e in manifest_entry["query"]],
-        categories=list(manifest_entry["categories"]),
-    )

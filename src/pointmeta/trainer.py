@@ -57,12 +57,11 @@ class MetaConfig:
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.inner_steps < 1 or self.tasks_per_batch < 1:
-            raise ConfigError("inner_steps and tasks_per_batch must be >= 1")
+        for name, least in (("inner_steps", 1), ("tasks_per_batch", 1), ("epochs", 0), ("steps_per_epoch", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ConfigError(f"gradient_mode must be one of {GRADIENT_MODES}")
-        if self.epochs < 0 or self.steps_per_epoch < 0:
-            raise ConfigError("epochs and steps_per_epoch must be >= 0")
 
     @property
     def episodes(self) -> int:

@@ -7,7 +7,7 @@ import numpy as np
 from pointmeta.autodiff import ParamStore, Tensor
 from pointmeta.data import _CHUNK_ROWS
 from pointmeta.model import PointNetConfig, layer_shapes
-from pointmeta.sampler import BlockRef, BlockSample, Episode
+from pointmeta.sampler import BlockSample, Episode
 
 
 # the most memory one chunk of room rows takes in flight, in bytes: the formatter's digit slots take about 300 a
@@ -47,12 +47,12 @@ def num_values(params: ParamStore) -> int:
 
 
 def random_episode(points, n_support, n_query, num_classes, seed, dtype=np.float64) -> Episode:
-    """An episode of random feature blocks, built without a dataset."""
+    """An episode of random feature blocks, built without a dataset, so no sample has a source block."""
     rng = np.random.default_rng(seed)
 
     def sample(i):
         features = rng.normal(size=(points, 9)).astype(dtype)
         labels = rng.integers(0, num_classes, size=points)
-        return BlockSample(BlockRef("A", f"office_{i}", (i, 0), "office"), i, features, labels)
+        return BlockSample(None, features, labels)
 
     return Episode([sample(i) for i in range(n_support)], [sample(n_support + i) for i in range(n_query)], ["office"])

@@ -149,6 +149,7 @@ def test_criterion_3_metrics_oracle():
 def test_criterion_4_sampler_properties(fixture_areas):
     with criterion(4, "sampler properties"):
         index = index_categories(list(fixture_areas.values()), points_per_block=POINTS_PER_BLOCK)
+        members = {cat: {id(block) for block in blocks} for cat, blocks in index.categories.items()}
         specs = [
             EpisodeSpec(ways=n, shots=k, query_multiplier=t)
             for n in (1, 2, 6)
@@ -164,18 +165,19 @@ def test_criterion_4_sampler_properties(fixture_areas):
                 assert len(ep.support) == spec.ways * spec.shots
                 assert len(ep.query) == spec.query_multiplier * spec.ways * spec.shots
                 assert len(set(ep.categories)) == spec.ways
-                support_ids = {s.ref.identity for s in ep.support}
-                query_ids = {q.ref.identity for q in ep.query}
+                # the index holds every block, so a block's id() names it for the whole test
+                support_ids = {id(s.block) for s in ep.support}
+                query_ids = {id(q.block) for q in ep.query}
                 assert len(support_ids) == len(ep.support)
                 assert len(query_ids) == len(ep.query)
                 assert not (support_ids & query_ids)
                 for cat in ep.categories:
-                    assert sum(s.category == cat for s in ep.support) == spec.shots
-                    assert sum(q.category == cat for q in ep.query) == spec.query_multiplier * spec.shots
+                    assert sum(id(s.block) in members[cat] for s in ep.support) == spec.shots
+                    assert sum(id(q.block) in members[cat] for q in ep.query) == spec.query_multiplier * spec.shots
                 if i < 3:  # seed determinism spot-check per spec
                     again = sample_episode(index, spec, np.random.default_rng([spec_i, i]))
-                    assert [s.ref for s in again.support] == [s.ref for s in ep.support]
-                    assert [q.ref for q in again.query] == [q.ref for q in ep.query]
+                    assert [id(s.block) for s in again.support] == [id(s.block) for s in ep.support]
+                    assert [id(q.block) for q in again.query] == [id(q.block) for q in ep.query]
                     assert all(
                         np.array_equal(x.features, y.features) for x, y in zip(again.support, ep.support)
                     )
@@ -227,11 +229,11 @@ def test_criterion_7_meta_learning_efficacy(fixture_areas, fixture_model):
         state = pretrain(dist, config, fixture_model, init_seed=0)
 
         meta = adapt_and_eval(
-            state.theta, fixture_model, fixture_areas["AreaC"], spec, episodes=20,
+            state.theta, fixture_model, [fixture_areas["AreaC"]], spec, episodes=20,
             rng=np.random.default_rng(1000), beta=1e-3, inner_steps=5,
         )
         random_init = adapt_and_eval(
-            init_params(fixture_model, seed=777), fixture_model, fixture_areas["AreaC"], spec, episodes=20,
+            init_params(fixture_model, seed=777), fixture_model, [fixture_areas["AreaC"]], spec, episodes=20,
             rng=np.random.default_rng(1000), beta=1e-3, inner_steps=5,
         )
         chance = 1.0 / fixture_model.num_classes

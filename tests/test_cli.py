@@ -279,7 +279,8 @@ def test_commands_hold_one_area_or_room(tmp_path):
     assert peak("ingest", "--data", data) < largest_file + largest + CHUNK_IN_FLIGHT < one_area
     read = areas[:2]
     held = nbytes(room for area in read for room in area.rooms)
-    held += nbytes(index_categories(read, points_per_block=32)._blocks.values())
+    held += nbytes(block for blocks in index_categories(read, points_per_block=32).categories.values()
+                   for block in blocks)
     assert peak("pretrain", "--config", tmp_path / "cfg.json", "--out", tmp_path / "run") < held
     assert peak("adapt-eval", "--checkpoint", tmp_path / "run" / "ckpt_epoch1", "--data", data, "--areas",
                 "AreaA,AreaB", "--shots", "2", "--episodes", "2", "--out", tmp_path / "eval") < held
@@ -466,7 +467,7 @@ def test_pretrain_missing_data_path(tmp_path):
         ("meta", "steps_per_epoc", 5, "meta.steps_per_epoc: unknown key"),
         # a range error of the dataclass that owns the value names its dotted key
         ("meta", "alpha", -1, "meta.alpha must be finite and > 0, got -1.0"),
-        ("episode", "ways", 0, "episode.ways, shots and query_multiplier must be >= 1"),
+        ("episode", "ways", 0, "episode.ways must be >= 1, got 0"),
         ("model", "seg_head_widths", [0], "model.seg_head_widths must be integers >= 1"),
         ("data", "points_per_block", 0, "data.points_per_block must be an integer >= 1"),
         ("meta", "beta_sweep", [-1], "meta.beta_sweep: beta must be finite and >= 0"),
@@ -619,6 +620,9 @@ def test_run_config_contract(dataset, edits, command):
             assert code == 2, err.getvalue()
             assert str(cfg_path) in err.getvalue() and "Traceback" not in err.getvalue()
             assert not out.exists()
+        if [how for how, *_ in edits] == ["range"]:  # the message names the key at fault as the file spells it
+            _, section, key, _ = edits[0]
+            assert f"{section}.{key}" in err.getvalue(), err.getvalue()
 
 
 def test_readme_quick_start_configs_pass_the_strict_readers(tmp_path):

@@ -560,10 +560,11 @@ def test_vocab_holds_at_most_256_classes(tmp_path):
     [
         ("0 ceiling\n1 floor wall\n", "expected 'label_id class_name'"),
         ("0 ceiling\n\u00b2 extra\n", "expected 'label_id class_name'"),  # passes isdigit, not int()
+        ("0 ceiling\n\u0661 floor\n", "expected 'label_id class_name'"),  # int() reads it as 1, but it is not ASCII
         ("0 ceiling\n0 floor\n", "label id 0 is repeated"),
         ("0 ceiling\n1 ceiling\n", "class name 'ceiling' is repeated"),
     ],
-    ids=["field_count", "superscript_id", "repeated_id", "repeated_name"],
+    ids=["field_count", "superscript_id", "arabic_indic_id", "repeated_id", "repeated_name"],
 )
 def test_load_vocab_names_the_bad_line(tmp_path, text, message):
     path = tmp_path / "vocab.txt"
@@ -747,9 +748,9 @@ def test_labels_stay_one_byte_from_room_file_to_block_sample(tmp_path):
         for block in partition_blocks(room):
             assert block.labels.dtype == np.uint8
             assert resample_block(block, 2 * len(block), np.random.default_rng(0)).labels.dtype == np.uint8
-        index = index_categories(Area("AreaA", [room], DEFAULT_CLASSES), points_per_block=16)
-        for refs in index.categories.values():
-            assert all(index.materialize(ref, 0).labels.dtype == np.uint8 for ref in refs)
+        index = index_categories([Area("AreaA", [room], DEFAULT_CLASSES)], points_per_block=16)
+        for blocks in index.categories.values():
+            assert all(index.materialize(block, 0).labels.dtype == np.uint8 for block in blocks)
 
 
 @given(st.integers(1, 256).flatmap(lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), min_size=1, max_size=40))))

@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pointmeta.cli import main
@@ -171,7 +171,7 @@ def vocab_mutations(draw):
     how = draw(st.sampled_from(["repeat id", "repeat name", "gap", "one field", "three fields", "bad id", "not utf-8"]))
     line = draw(st.integers(0, CLASSES - 2))  # the line at fault; a gap needs a line after it
     other = (line + draw(st.integers(1, CLASSES - 1))) % CLASSES  # another line
-    return how, line, other, draw(st.sampled_from(["x", "-1", "+1", "1.0", "²", "0x1", ""]))
+    return how, line, other, draw(st.sampled_from(["x", "-1", "+1", "1.0", "²", "0x1", "", "١"]))
 
 
 def break_vocab(tmp: Path, mutation) -> Path:
@@ -196,6 +196,7 @@ def break_vocab(tmp: Path, mutation) -> Path:
 
 
 @given(vocab_mutations())
+@example(("bad id", 1, 0, "١"))  # int() reads it as the very id it replaces, so only the ASCII rule rejects it
 @settings(max_examples=100, deadline=None)
 def test_broken_vocab_contract(clean, mutation):
     event(mutation[0])
@@ -228,13 +229,15 @@ def test_vocab_of_another_size_than_the_checkpoint_names_the_vocab(clean, tmp_pa
 # palettes
 
 BAD_COLORS = [256, -1, 1.5, "12", True, None, [1, 2], [1, 2, 3, 4], [1, 2, "3"], [1, 2, 256], [0, -1, 0], "red", {}]
-BAD_KEYS = ["a", "-1", "1.0", "", " 1", "²", "0x1"]
+BAD_KEYS = ["a", "-1", "1.0", "", " 1", "²", "0x1", "١"]
 
 
 @st.composite
 def palette_mutations(draw):
-    """One way to break a palette: a color, a key, a missing class, or the file not being a JSON object."""
-    how = draw(st.sampled_from(["color", "key", "missing class", "not an object", "not json", "not utf-8"]))
+    """One way to break a palette: a color, a key, a class id spelt twice, a missing class, or the file not being a
+    JSON object."""
+    how = draw(st.sampled_from(["color", "key", "repeated id", "missing class", "not an object", "not json",
+                                "not utf-8"]))
     cls = draw(st.integers(0, CLASSES - 1))
     if how == "color":
         return how, cls, draw(st.sampled_from(BAD_COLORS))
@@ -252,6 +255,8 @@ def break_palette(tmp: Path, mutation) -> Path:
         palette[str(cls)] = value
     elif how == "key":
         palette[value] = [1, 2, 3]
+    elif how == "repeated id":
+        palette[f"0{cls}"] = [1, 2, 3]
     elif how == "missing class":
         del palette[str(cls)]
     text = json.dumps(value if how == "not an object" else palette)
@@ -266,3 +271,11 @@ def break_palette(tmp: Path, mutation) -> Path:
 def test_broken_palette_contract(clean, mutation):
     event(mutation[0])
     check_broken(clean, lambda tmp: break_palette(tmp, mutation), only=["export-ply"])
+
+
+def test_a_palette_class_id_spelt_twice_is_named(clean):
+    # "3" and "03" are one class id, so neither color is kept in silence
+    def mutate(tmp: Path) -> Path:
+        return break_palette(tmp, ("repeated id", 3, None))
+
+    check_broken(clean, mutate, only=["export-ply"], named=" 03: class id 3 is repeated")

@@ -1,6 +1,8 @@
 import itertools
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,7 +64,7 @@ def small_distribution():
         density=30,
     )
     area = generate_synthetic_area(spec, seed=3)
-    index = index_categories(area, points_per_block=48)
+    index = index_categories([area], points_per_block=48)
     return build_task_distribution(index, EpisodeSpec(ways=2, shots=2), count=300, seed=0)
 
 
@@ -501,7 +503,7 @@ def test_adapt_and_eval_perfect_on_one_class_target():
     report = adapt_and_eval(
         ParamStore(biased),
         TINY_MODEL,
-        area,
+        [area],
         EpisodeSpec(ways=1, shots=1),
         episodes=5,
         rng=np.random.default_rng(0),
@@ -538,7 +540,7 @@ def test_adapt_and_eval_chance_level_without_adaptation():
     report = adapt_and_eval(
         init_params(model, seed=123),
         model,
-        area,
+        [area],
         EpisodeSpec(ways=1, shots=1),
         episodes=40,
         rng=np.random.default_rng(7),
@@ -552,7 +554,7 @@ def test_adapt_and_eval_rejects_zero_episodes():
         adapt_and_eval(
             init_params(TINY_MODEL, 0),
             TINY_MODEL,
-            one_class_area(),
+            [one_class_area()],
             EpisodeSpec(ways=1, shots=1),
             episodes=0,
             rng=np.random.default_rng(0),
@@ -567,3 +569,12 @@ def test_meta_config_validation():
         MetaConfig(alpha=0.1, beta=-1.0)
     with pytest.raises(ConfigError):
         MetaConfig(alpha=0.1, beta=0.1, gradient_mode="third_order")
+
+
+def test_readme_library_usage_runs(capsys):
+    # the README's library block runs as written, so a change of the API it calls cannot leave it stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Library usage\n\n```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    oacc, miou = map(float, capsys.readouterr().out.split())
+    assert 0 <= oacc <= 1 and 0 <= miou <= 1
