@@ -339,7 +339,7 @@ def relu(a) -> Tensor:
 
 
 def take_rows(a, rows) -> Tensor:
-    """Rows ``rows`` of ``a``: a slice, or an index array without repeats; a recorded slice is taken once per tape."""
+    """Rows ``rows`` of ``a``: a slice, or an index array that may repeat rows; a recorded slice is taken once per tape."""
     a, tape = _lift(a), active_tape()
     key = (a.node, rows.start, rows.stop, rows.step) if isinstance(rows, slice) else None  # a slice hashes from 3.12 only
     if tape is not None and key in tape.slices:
@@ -356,10 +356,17 @@ def take_rows(a, rows) -> Tensor:
 
 
 def scatter_rows(a, rows, n_rows: int) -> Tensor:
-    """``n_rows`` rows of zeros with ``a`` written at ``rows``; the adjoint of take_rows."""
+    """``n_rows`` rows of zeros with ``a``'s rows added at ``rows``; the adjoint of take_rows.
+
+    A row named more than once gets the sum of its rows of ``a``, in index order;
+    a row named once gets its row's bytes, except that ``0.0 + -0.0`` is ``0.0``.
+    """
     a = _lift(a)
     data = np.zeros((n_rows, *a.shape[1:]), dtype=a.data.dtype)
-    data[rows] = a.data
+    if isinstance(rows, slice):
+        data[rows] = a.data
+    else:
+        np.add.at(data, rows, a.data)
 
     def vjp(g):
         return (take_rows(g, rows),)

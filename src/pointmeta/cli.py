@@ -528,7 +528,7 @@ def _gradcheck_battery(bits: int, seed: int) -> tuple[str, float, float]:
     dtype = np.float32 if bits == 32 else np.float64
     tol = 1e-4 if bits == 32 else 1e-7
     rng = np.random.default_rng(seed)
-    # 48 points against an mlp2 width of 32: the pool records only the rows that hold a maximum
+    # 48 points against an mlp2 width of 32: the pool runs on one row per column, the one that holds its maximum
     model = PointNetConfig(
         num_classes=3, mlp1_widths=(8, 8), mlp2_widths=(8, 16, 32), seg_head_widths=(16, 8), points_per_block=48
     )

@@ -283,7 +283,7 @@ def load_room(path, vocab) -> Room:
     """Parse one room file, read once; ``_parse_room`` names the ``path:line`` of the first line that breaks a rule."""
     path = Path(path)
     room_type, _, index = path.stem.rpartition("_")
-    if not room_type or not index.isdecimal():
+    if not room_type or not (index.isascii() and index.isdecimal()):
         raise ValidationError(f"{path}: room file name {path.stem!r} is not of the form <room_type>_<index>")
     points = _parse_room(path, read_text(path), len(vocab))
     try:

@@ -5,8 +5,8 @@ MLP, a second per-point MLP whose output is max-pooled into a single global
 feature, and a segmentation head whose first layer is
 ``local @ W_local + global @ W_global``, the row-block split of one weight.
 An optional T-Net predicts a 3x3 transform for the raw XYZ columns before
-any of that.  Past F points, a max-pooled MLP of last width F is recorded
-only on F points that hold every column's maximum (see ``_pooled_chain``).
+any of that.  Past F points, a max-pooled MLP of last width F runs on one
+point per column, the one that holds its maximum (see ``_pooled_chain``).
 No batch normalization anywhere: every forward is a pure function of
 (params, block), which keeps per-task adaptation a plain gradient step.
 """
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, Tensor, active_tape, matmul, max_over_points, relu, reshape, take_rows
+from .autodiff import ParamStore, Tensor, matmul, max_over_points, mul, relu, reshape, sum_, take_rows, transpose
 from .data import write_file
 from .errors import ConfigError, DimensionError
 
@@ -139,37 +139,40 @@ def _dense_chain(tensors, prefix: str, n_layers: int, *parts) -> Tensor:
 
 
 def _pooled_chain(tensors, prefix: str, n_layers: int, x: Tensor) -> Tensor:
-    """``max_over_points`` of a ``_dense_chain`` of last width F, a [1, F] row, recorded on at most F rows.
+    """``max_over_points`` of a ``_dense_chain`` of last width F, a [1, F] row, computed on at most F rows.
 
-    With P > F while a tape records, an unrecorded pass marks each column's first
-    maximum and pads the set with the lowest other rows to exactly F (fixed shapes);
-    the pool's values, first maxima and gradients stay the same, as the rows left
-    out get none from its gather.  That pass is numpy in place, its products
-    through the counted ``matmul``; the last one is ``W.T @ h.T``, so each column
-    of the chain is a contiguous row to take the first maximum of.  The last relu
-    is not applied: a column whose maximum is above 0 has the same first maximum
-    without it, and one whose maximum is at most 0 is all zeros after it, so
-    its first maximum is row 0.  With no tape recording, the chain runs once on
-    all P rows.
+    With P > F, an unrecorded pass finds each column's first maximum: numpy in
+    place, its products through the counted ``matmul``, the last one
+    ``W.T @ h.T`` so that each column of the chain is a contiguous row to take
+    the first maximum of.  The last relu is not applied: a column whose maximum
+    is above 0 has the same first maximum without it, and one whose maximum is
+    at most 0 is all zeros after it, so its first maximum is row 0.  The chain
+    then runs on one row per column, repeats allowed, and its last layer as a
+    row-wise product: column j is gathered row j times weight column j
+    (PointNet's critical points; F products of H numbers, not an [F, H] @ [H, F]
+    matmul of which F entries are kept).  Taped or not, every forward past F
+    runs this one path.
     """
     width = tensors[f"{prefix}.{n_layers - 1}.b"].shape[0]
-    if x.shape[0] > width and active_tape() is not None:
-        layers = [(tensors[f"{prefix}.{i}.w"].data, tensors[f"{prefix}.{i}.b"].data) for i in range(n_layers)]
-        h = x.data
-        for w, b in layers[:-1]:
-            h = matmul(Tensor(h), Tensor(w)).data
-            h += b
-            np.maximum(h, 0, out=h)
-        w, b = layers[-1]
-        deep = matmul(Tensor(w.T), Tensor(h.T)).data  # [F, P]
-        deep += b[:, None]
-        first = np.argmax(deep, axis=1)
-        first[deep[np.arange(width), first] <= 0] = 0  # a column the relu zeroes everywhere: its first maximum is row 0
-        keep = np.zeros(x.shape[0], dtype=bool)
-        keep[first] = True
-        keep[np.flatnonzero(~keep)[: width - np.count_nonzero(keep)]] = True
-        x = take_rows(x, np.flatnonzero(keep))
-    return max_over_points(_dense_chain(tensors, prefix, n_layers, x))
+    if x.shape[0] <= width:
+        return max_over_points(_dense_chain(tensors, prefix, n_layers, x))
+    layers = [(tensors[f"{prefix}.{i}.w"].data, tensors[f"{prefix}.{i}.b"].data) for i in range(n_layers)]
+    h = x.data
+    for w, b in layers[:-1]:
+        h = matmul(Tensor(h), Tensor(w)).data
+        h += b
+        np.maximum(h, 0, out=h)
+    w, b = layers[-1]
+    deep = matmul(Tensor(w.T), Tensor(h.T)).data  # [F, P]
+    deep += b[:, None]
+    first = np.argmax(deep, axis=1)
+    first[deep[np.arange(width), first] <= 0] = 0  # a column the relu zeroes everywhere: its first maximum is row 0
+    h = take_rows(x, first)
+    if n_layers > 1:
+        h = _dense_chain(tensors, prefix, n_layers - 1, h)
+    last = tensors[f"{prefix}.{n_layers - 1}.w"]
+    pooled = relu(sum_(mul(h, transpose(last)), axis=1) + tensors[f"{prefix}.{n_layers - 1}.b"])
+    return reshape(pooled, (1, width))
 
 
 def tnet_transform(config: PointNetConfig, params, xyz) -> Tensor:

@@ -150,7 +150,9 @@ def _cubic(op, c, x):
     return sum_(Tensor(c) * y * y * y)
 
 
-ROWS = pytest.mark.parametrize("rows", [slice(1, 4), np.array([3, 0, 4, 1, 2])], ids=["slice", "permutation"])
+# the repeated rows are named twice each, so a scatter's sums have the bits of m @ z in any order
+ROWS = pytest.mark.parametrize("rows", [slice(1, 4), np.array([3, 0, 4, 1, 2]), np.array([3, 0, 3, 1, 4, 0])],
+                               ids=["slice", "permutation", "repeated"])
 KINDS = pytest.mark.parametrize("kind", ["take", "scatter"])
 
 
@@ -196,6 +198,25 @@ def test_row_ops_gradient_of_gradient(kind, rows):
         hv = backward(sum_(Tensor(v) * g), tape, {"x": x})["x"]
     # L = sum(c * (m x)^3) gives d/dx sum(v * dL/dx) = m^T (6 c (m v) (m x))
     assert np.allclose(hv.data, m.T @ (6 * c * (m @ v) * (m @ x0)), rtol=1e-12, atol=1e-12)
+
+
+def test_scatter_adds_repeated_rows():
+    a = np.arange(6.0).reshape(3, 2) + 1
+    assert np.array_equal(scatter_rows(a, np.array([1, 1, 0]), 3).data, [[5, 6], [4, 6], [0, 0]])
+
+
+def test_scatter_by_unique_rows_has_the_bytes_of_assignment():
+    rng = np.random.default_rng(3)
+    for dtype in (np.float32, np.float64):
+        a = rng.normal(size=(4, 3)).astype(dtype)
+        a[3, 0] = 0.0
+        rows = np.array([6, 0, 3, 5])
+        assigned = np.zeros((7, 3), dtype=dtype)
+        assigned[rows] = a
+        assert scatter_rows(a, rows, 7).data.tobytes() == assigned.tobytes()
+        # a sum from zero: -0.0 comes back as 0.0, the one value whose bytes move
+        a[1, 2] = -0.0
+        assert np.signbit(scatter_rows(a, rows, 7).data).sum() == np.signbit(a).sum() - 1
 
 
 def test_cross_entropy_uniform_logits():

@@ -359,7 +359,9 @@ def test_ingest_superscript_digit_usage_error(dataset, tmp_path, capsys, supersc
 @pytest.mark.parametrize(
     "stem, message",
     [("throne_1", "room throne_1: unknown room type 'throne'"),
-     ("office_x", "room file name 'office_x' is not of the form <room_type>_<index>")],
+     ("office_x", "room file name 'office_x' is not of the form <room_type>_<index>"),
+     # an Arabic-Indic digit is decimal to str.isdecimal, but a room index is ASCII digits
+     ("office_\u0661", "room file name 'office_\u0661' is not of the form <room_type>_<index>")],
 )
 def test_ingest_room_file_name_errors_name_the_file(dataset, tmp_path, capsys, stem, message):
     copy = tmp_path / "data"

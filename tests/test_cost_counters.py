@@ -32,11 +32,18 @@ COUNTED = ("tape_nodes", "backward_calls", "matmul_calls", "matmul_flop")
 # of head.0.w once, not once per forward: a tape of 12 forwards records 2
 # take_rows where it recorded 24, and the second-order support tape's
 # create_graph sweep 2 scatter_rows where it recorded 24, so 936 -> 892 first
-# order (two such tapes) and 1912 -> 1868 second order
+# order (two such tapes) and 1912 -> 1868 second order.  Past the pool width
+# (P=1024 against mlp2's 256) the pool records one row per column and its last
+# layer as a row-wise product: the [256, 128] @ [128, 256] matmul and its two
+# backward matmuls go, in each of 24 forwards, so 696 -> 624 matmul calls and
+# 7,013,400,576 -> 5,805,441,024 FLOPs first order (916 nodes either way), and
+# 1296 -> 1152 calls, 11,783,897,088 -> 9,367,977,984 FLOPs and 1868 -> 1844
+# nodes second order.  P=32 fits the width, so its path and counts stay
 EXPECTED = {
     ("first_order", 32): {"tape_nodes": 892, "backward_calls": 2, "matmul_calls": 624, "matmul_flop": 310_247_424},
-    ("second_order", 1024): {"tape_nodes": 1868, "backward_calls": 14, "matmul_calls": 1296,
-                             "matmul_flop": 11_783_897_088},
+    ("first_order", 1024): {"tape_nodes": 916, "backward_calls": 2, "matmul_calls": 624, "matmul_flop": 5_805_441_024},
+    ("second_order", 1024): {"tape_nodes": 1844, "backward_calls": 14, "matmul_calls": 1152,
+                             "matmul_flop": 9_367_977_984},
 }
 
 

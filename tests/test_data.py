@@ -573,7 +573,8 @@ def test_load_vocab_names_the_bad_line(tmp_path, text, message):
         load_vocab(path)
 
 
-@pytest.mark.parametrize("stem", ["office", "_1", "office_x", "office_\u00b2"], ids=["no_index", "no_type", "letter", "superscript"])
+@pytest.mark.parametrize("stem", ["office", "_1", "office_x", "office_\u00b2", "office_\u0661"],
+                         ids=["no_index", "no_type", "letter", "superscript", "arabic_indic"])
 def test_load_room_file_name_needs_a_decimal_index(tmp_path, stem):
     path = tmp_path / f"{stem}.txt"
     path.write_text(f"{GOOD_LINE}\n")

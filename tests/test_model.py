@@ -107,13 +107,15 @@ def test_forward_permutation_equivariance_bit_exact():
         assert all(np.array_equal(grads[name], grads_p[name]) for name in grads), (kind, points)
 
 
-def test_untaped_forward_runs_the_pooled_chain_once(monkeypatch):
-    # past the mlp2 width of 32 only a recording tape needs the gather; its
-    # selection pass is plain numpy, so it is seen as three unrecorded products
+def test_taped_and_untaped_forwards_run_one_pooled_path(monkeypatch):
+    # past the mlp2 width of 32 both forwards run the selection pass, three
+    # unrecorded products over all 40 rows, then mlp2's first two layers on the
+    # 32 gathered rows and its last layer as a row-wise product: the same
+    # operations, so the same bits
     calls, dense_chain, products, matmul = [], model_module._dense_chain, [], model_module.matmul
 
     def counted(tensors, prefix, n_layers, *parts):
-        calls.append(prefix)
+        calls.append((prefix, n_layers))
         return dense_chain(tensors, prefix, n_layers, *parts)
 
     def counted_matmul(a, b):
@@ -125,12 +127,15 @@ def test_untaped_forward_runs_the_pooled_chain_once(monkeypatch):
     params = init_params(MINI, seed=1)
     block = np.random.default_rng(9).normal(size=(40, 9)).astype(np.float32)
     untaped = forward(MINI, params, block)
-    assert calls.count("mlp2") == 1
-    del products[:]
+    seen = list(calls), [(a, b) for a, b, _ in products]
+    del calls[:], products[:]
     with Tape():
         taped = forward(MINI, params, block)
-    assert calls.count("mlp2") == 2
+    assert (calls, [(a, b) for a, b, _ in products]) == seen
+    assert ("mlp2", 2) in calls and ("mlp2", 3) not in calls
+    # on the tape, the products of the selection pass are the only ones between constants
     assert [(a, b) for a, b, constant in products if constant] == [((40, 8), (8, 8)), ((40, 8), (8, 16)), ((32, 16), (16, 40))]
+    assert ((32, 8), (8, 8), False) in products and ((32, 8), (8, 16), False) in products
     assert np.array_equal(untaped.data, taped.data)
 
 
@@ -158,8 +163,7 @@ def _concatenated_head_logits(config, params, x):
 @pytest.mark.parametrize(("config", "prefix", "n_layers", "width"), [(MINI, "mlp2", 3, 32), (MINI_TNET, "tnet.mlp", 2, 64)],
                          ids=["mlp2", "tnet"])
 @pytest.mark.parametrize("excess", [1, 4], ids=["F+1", "4F"])
-def test_pool_keeps_each_columns_first_maximum_padded_with_the_lowest_rows(monkeypatch, config, prefix, n_layers, width,
-                                                                           dtype, excess):
+def test_pool_gathers_each_columns_first_maximum(monkeypatch, config, prefix, n_layers, width, dtype, excess):
     arrays = {n: a.copy() for n, a in init_params(config, seed=2, dtype=dtype).items()}
     # dead units: the last layer's column 0 is negative on every row before its relu and column 1
     # exactly 0, so both are 0 after it, their first maximum is row 0 and they pass back no gradient
@@ -182,10 +186,11 @@ def test_pool_keeps_each_columns_first_maximum_padded_with_the_lowest_rows(monke
         pooled = model_module._pooled_chain(tensors, prefix, n_layers, Tensor(x))
         grads = backward(sum_(pooled), tape, tensors)
     deep = _chain(arrays, prefix, n_layers, x)
-    want = np.isin(np.arange(points), np.argmax(deep, axis=0))
-    want[np.flatnonzero(~want)[: width - np.count_nonzero(want)]] = True
-    assert len(gathered) == 1 and np.array_equal(gathered[0], np.flatnonzero(want)) and want[0]
-    assert np.array_equal(pooled.data, deep.max(axis=0, keepdims=True))
+    # one row per column, in column order: the relu'd reference's argmax is row 0 for a dead column
+    assert len(gathered) == 1 and np.array_equal(gathered[0], np.argmax(deep, axis=0)) and not gathered[0][:2].any()
+    # numpy's row sum takes each column's value, where BLAS summed the reference's
+    rtol = 1e-12 if dtype == np.float64 else 1e-6
+    np.testing.assert_allclose(pooled.data, deep.max(axis=0, keepdims=True), rtol=rtol, atol=0)
     assert not pooled.data[0, :2].any() and pooled.data[0, 2:].any()
     assert not grad_array(grads[last_w])[:, :2].any() and not grad_array(grads[last_b])[:2].any()
 
