@@ -298,8 +298,8 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
             g = reshape(g, tuple(kept))
         elif axis is None and not keepdims:
             g = reshape(g, (1,) * len(a_shape))
-        # times ones broadcasts g back to a's shape; x * 1 is exactly x
-        return (mul(g, np.ones(a_shape, dtype=g.dtype)),)
+        # times ones broadcasts g back to a's shape (x * 1 is exactly x); one 1 seen through zero strides holds no a-sized array
+        return (mul(g, np.ndarray(a_shape, g.dtype, np.ones(1, g.dtype), strides=(0,) * len(a_shape))),)
 
     return _record(a.data.sum(axis=axis, keepdims=keepdims), (a.node,), vjp)
 

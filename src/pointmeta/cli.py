@@ -32,7 +32,6 @@ from .data import (
     count_blocks,
     csv_text,
     find_areas,
-    load_area,
     load_room,
     load_vocab,
     partition_blocks,
@@ -50,7 +49,7 @@ from .errors import CapacityError, ConfigError, DivergenceError, ValidationError
 from .metrics import metrics_report
 from .model import PointNetConfig, forward, init_params, load_checkpoint, predict_labels, save_checkpoint
 from .sampler import EpisodeSpec, build_task_distribution, index_categories
-from .trainer import MetaConfig, adapt_and_eval, check_eval, pretrain
+from .trainer import MetaConfig, adapt_and_eval, check_eval, evaluate, pretrain
 
 # synth builds its areas room by room through synthetic_rooms; the whole-area generator stays an attribute of cli
 # because perfbench's traced run wraps cli.generate_synthetic_area
@@ -336,12 +335,9 @@ def _parse_run_config(path) -> RunConfig:
     return RunConfig(cfg, root, areas, spec, meta, sweep, model, seeds, eval_episodes, eval_beta, eval_steps, eval_seed)
 
 
-def _dataset_inputs(root, areas) -> list[str]:
-    """The paths under the data ``root`` that reading ``areas`` read: the vocabulary and each area's directory.
-
-    An ``Area`` and an area's directory path both name the area by ``.name``.
-    """
-    return [f"{root}/vocab.txt", *(f"{root}/{area.name}" for area in areas)]
+def _dataset_inputs(root, directories) -> list[str]:
+    """The paths under the data ``root`` that reading the area ``directories`` read: the vocabulary and each directory."""
+    return [f"{root}/vocab.txt", *(f"{root}/{directory.name}" for directory in directories)]
 
 
 def _room_by_room(directories, vocab):
@@ -451,30 +447,30 @@ def cmd_cross_validate(args) -> int:
     names = [d.name for d in directories]
     if len(names) < 2:  # a table of one area has no cell to fill, so nothing is trained
         raise ConfigError(f"run config {args.config} data.areas: cross-validate needs at least two areas, got {names}")
-    # every area is both a source and a target, so all are read up front
-    areas = [load_area(directory, vocab) for directory in directories]
+    # every area is both a source and a target, under every swept beta, so each is indexed once, up front,
+    # from rooms read one at a time; a malformed room stops the command before anything trains
+    indexes = [index_categories(_room_by_room([directory], vocab), points_per_block=cfg.model.points_per_block)
+               for directory in directories]
     model = replace(cfg.model, num_classes=len(vocab))
     out = Path(args.out)
 
     for run_meta, run_out in _runs(cfg, out):
         swept = f"beta={run_meta.beta:g}: " if cfg.sweep else ""
         table = {test: {src: "" for src in names} for test in names}
-        for source in areas:
-            index = index_categories([source], points_per_block=cfg.model.points_per_block)
-            state = _run_pretrain(cfg, run_meta, cfg.seeds, index, model, run_out / f"pretrain_{source.name}")
-            for target in areas:
-                if target.name == source.name:
+        for s, source in enumerate(names):
+            state = _run_pretrain(cfg, run_meta, cfg.seeds, indexes[s], model, run_out / f"pretrain_{source}")
+            for t, target in enumerate(names):
+                if t == s:
                     continue
-                report = adapt_and_eval(
-                    state.theta, model, [target], cfg.spec, episodes=cfg.eval_episodes,
-                    rng=np.random.default_rng([cfg.eval_seed, names.index(source.name), names.index(target.name)]),
-                    beta=cfg.eval_beta, inner_steps=cfg.eval_steps,
+                report = evaluate(
+                    state.theta, model, indexes[t], cfg.spec, episodes=cfg.eval_episodes,
+                    rng=np.random.default_rng([cfg.eval_seed, s, t]), beta=cfg.eval_beta, inner_steps=cfg.eval_steps,
                 )
-                table[target.name][source.name] = repr(report.overall.oacc)
-                print(f"{swept}pretrain {source.name} -> test {target.name}: oAcc {report.overall.oacc:.4f}")
+                table[target][source] = repr(report.overall.oacc)
+                print(f"{swept}pretrain {source} -> test {target}: oAcc {report.overall.oacc:.4f}")
         rows = [[test] + [table[test][src] for src in names] for test in names]
         write_file(run_out / "crossval.csv", csv_text([["test_area"] + names, *rows]))
-    inputs = [args.config, *_dataset_inputs(cfg.root, areas)]
+    inputs = [args.config, *_dataset_inputs(cfg.root, directories)]
     write_manifest(out, "cross-validate", cfg.loaded, cfg.seeds | {"eval": cfg.eval_seed}, inputs, dtype=state.theta.dtype)
     return 0
 

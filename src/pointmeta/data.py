@@ -374,10 +374,6 @@ def read_rooms(directory, vocab) -> Iterator[Room]:
         yield load_room(path, vocab)
 
 
-def load_area(directory, vocab) -> Area:
-    return Area(name=Path(directory).name, rooms=list(read_rooms(directory, vocab)), classes=tuple(vocab))
-
-
 def find_areas(root, names=()) -> tuple[list[Path], tuple[str, ...]]:
     """The shared vocab.txt and, in name order, the directories under ``root`` of the areas named in ``names``
     (all when empty); no room is read."""
@@ -396,28 +392,27 @@ def find_areas(root, names=()) -> tuple[list[Path], tuple[str, ...]]:
 def load_dataset(root, names=()) -> tuple[list[Area], tuple[str, ...]]:
     """``find_areas(root, names)`` with every area read."""
     directories, vocab = find_areas(root, names)
-    return [load_area(directory, vocab) for directory in directories], vocab
+    return [Area(directory.name, list(read_rooms(directory, vocab)), vocab) for directory in directories], vocab
 
 
 # ---------------------------------------------------------------------------
 # blocks and features
 
 
-def _cell_runs(room: Room) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The room's min corner, each point's 1m grid cell, and the points of each non-empty cell in cell order.
+def _cell_keys(room: Room) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The room's min corner, each point's 1m grid cell (i, j), and its key i * (j_max + 1) + j, which sorts as (i, j) does.
 
     Cells are half-open and anchored at (x_min, y_min), so every point lands in exactly one.
     """
     room_min = room.xyz.min(axis=0)
     cells = np.floor(room.xyz[:, :2] - room_min[:2]).astype(np.int64)
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    i, j = cells[:, 0][order], cells[:, 1][order]
-    return room_min, cells, np.split(order, np.flatnonzero((i[1:] != i[:-1]) | (j[1:] != j[:-1])) + 1)
+    return room_min, cells, cells[:, 0] * (cells[:, 1].max() + 1) + cells[:, 1]
 
 
 def count_blocks(room: Room) -> int:
     """``len(partition_blocks(room))``, without building a block."""
-    return len(_cell_runs(room)[2])
+    keys = np.sort(_cell_keys(room)[2])
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
 
 
 def partition_blocks(room: Room) -> list[Block]:
@@ -427,10 +422,12 @@ def partition_blocks(room: Room) -> list[Block]:
     cell and empty cells are omitted.  Z is never partitioned: blocks are
     full-height columns.  Each block carries the room's min and extent.
     """
-    room_min, cells, runs = _cell_runs(room)
+    room_min, cells, keys = _cell_keys(room)
+    order = np.argsort(keys, kind="stable")  # a cell's points stay in file order
+    keys = keys[order]
     room_extent = room.xyz.max(axis=0) - room_min
     blocks = []
-    for chunk in runs:
+    for chunk in np.split(order, np.flatnonzero(keys[1:] != keys[:-1]) + 1):
         i, j = cells[chunk[0]]
         blocks.append(
             Block(

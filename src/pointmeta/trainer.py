@@ -33,7 +33,7 @@ from .autodiff import ParamStore, Tape, backward, cross_entropy, sgd_step
 from .errors import ConfigError, DivergenceError
 from .metrics import SegMetrics, accumulate, compute_metrics
 from .model import PointNetConfig, forward, init_params, predict_labels
-from .sampler import Episode, EpisodeSpec, TaskDistribution, index_categories, sample_episode
+from .sampler import CategoryIndex, Episode, EpisodeSpec, TaskDistribution, index_categories, sample_episode
 
 GRADIENT_MODES = ("first_order", "second_order")
 
@@ -232,7 +232,7 @@ class EvalReport:
 
 
 def check_eval(episodes: int, inner_steps: int, beta: float) -> None:
-    """The ranges ``adapt_and_eval`` takes; each message begins with the argument it rejects."""
+    """The ranges ``evaluate`` takes; each message begins with the argument it rejects."""
     if episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
     if inner_steps < 0:
@@ -241,22 +241,21 @@ def check_eval(episodes: int, inner_steps: int, beta: float) -> None:
         raise ConfigError(f"beta must be finite and >= 0, got {beta}")
 
 
-def adapt_and_eval(
+def evaluate(
     theta: ParamStore,
     model: PointNetConfig,
-    areas,
+    index: CategoryIndex,
     spec: EpisodeSpec,
     episodes: int,
     rng: np.random.Generator,
     beta: float,
     inner_steps: int = 1,
 ) -> EvalReport:
-    """Sample episodes from the target areas, each block resampled to ``model.points_per_block``, adapt on S, score on Q.
+    """Sample episodes from the block ``index``, adapt on S, score on Q.
 
     An episode whose adapted parameters are not finite raises a ``DivergenceError`` naming it.
     """
     check_eval(episodes, inner_steps, beta)
-    index = index_categories(areas, points_per_block=model.points_per_block)
     total = np.zeros((model.num_classes, model.num_classes), dtype=np.int64)
     per_episode = []
     for i in range(episodes):
@@ -273,3 +272,11 @@ def adapt_and_eval(
         total += counts
         per_episode.append(compute_metrics(counts))
     return EvalReport(overall=compute_metrics(total), per_episode=per_episode, counts=total)
+
+
+def adapt_and_eval(theta: ParamStore, model: PointNetConfig, areas, spec: EpisodeSpec, episodes: int,
+                   rng: np.random.Generator, beta: float, inner_steps: int = 1) -> EvalReport:
+    """``evaluate`` on the block index of ``areas``, each block resampled to ``model.points_per_block``."""
+    check_eval(episodes, inner_steps, beta)  # before any room is read
+    index = index_categories(areas, points_per_block=model.points_per_block)
+    return evaluate(theta, model, index, spec, episodes, rng, beta, inner_steps)

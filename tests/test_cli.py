@@ -21,7 +21,7 @@ from pointmeta.autodiff import grad_array
 from pointmeta.cli import _area_specs_from_json, _parse_run_config, main
 from pointmeta.data import _CHUNK_ROWS, DEFAULT_CLASSES, DEFAULT_PALETTE, load_dataset
 from pointmeta.model import load_checkpoint
-from pointmeta.sampler import index_categories
+from pointmeta.sampler import CategoryIndex, index_categories
 
 from helpers import CHUNK_IN_FLIGHT
 
@@ -239,9 +239,10 @@ def test_ingest_missing_dir(tmp_path):
     assert main(["ingest", "--data", str(tmp_path / "nope")]) in (2, 5)
 
 
-def test_commands_hold_one_area_or_room(tmp_path):
-    # synth and ingest hold one room and one chunk of rows at a time, and pretrain and adapt-eval build their
-    # index one room at a time, so each command's traced peak stays below what holding more would take
+def test_commands_hold_one_area_or_room(tmp_path, monkeypatch):
+    # synth and ingest hold one room and one chunk of rows at a time, pretrain and adapt-eval build their index
+    # one room at a time, and cross-validate builds one index per area that way, so each command's traced peak
+    # stays below what holding more would take
     spec = {"density": 160, "areas": [{"name": name, "rooms": {"office": 4, "hallway": 4, "storage": 4}}
                                       for name in ("AreaA", "AreaB", "AreaC")]}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -250,6 +251,9 @@ def test_commands_hold_one_area_or_room(tmp_path):
     cfg["data"] |= {"root": str(data), "areas": ["AreaA", "AreaB"]}
     cfg["meta"] |= {"epochs": 1, "steps_per_epoch": 0}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    cfg["meta"]["beta_sweep"] = [1e-3, 0]
+    cfg["eval"] = {"episodes": 1}
+    (tmp_path / "cv.json").write_text(json.dumps(cfg))
 
     def peak(*argv) -> int:
         argv = [str(arg) for arg in argv]
@@ -275,15 +279,28 @@ def test_commands_hold_one_area_or_room(tmp_path):
     one_area = min(nbytes(area.rooms) for area in areas)  # a command holding any area passes each bound
     assert max(map(len, rooms)) > 3 * _CHUNK_ROWS  # the largest room is several chunks long
     assert synth_peak < largest + CHUNK_IN_FLIGHT < one_area
-    # a room being read holds its file's text besides its arrays
-    assert peak("ingest", "--data", data) < largest_file + largest + CHUNK_IN_FLIGHT < one_area
+    reading = largest_file + largest + CHUNK_IN_FLIGHT  # a room being read holds its file's text besides its arrays
+    assert peak("ingest", "--data", data) < reading < one_area
     read = areas[:2]
-    held = nbytes(room for area in read for room in area.rooms)
-    held += nbytes(block for blocks in index_categories(read, points_per_block=32).categories.values()
-                   for block in blocks)
+    indexed = nbytes(block for blocks in index_categories(read, points_per_block=32).categories.values()
+                     for block in blocks)
+    held = nbytes(room for area in read for room in area.rooms) + indexed
     assert peak("pretrain", "--config", tmp_path / "cfg.json", "--out", tmp_path / "run") < held
     assert peak("adapt-eval", "--checkpoint", tmp_path / "run" / "ckpt_epoch1", "--data", data, "--areas",
                 "AreaA,AreaB", "--shots", "2", "--episodes", "2", "--out", tmp_path / "eval") < held
+    # cross-validate holds its areas' blocks and the room being read, not the rooms as well, and indexes each area
+    # once for every rate
+    assert peak("cross-validate", "--config", tmp_path / "cv.json", "--out", tmp_path / "cv") < indexed + reading
+    built, init = [], CategoryIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CategoryIndex, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cross-validate", "--config", str(tmp_path / "cv.json"), "--out", str(tmp_path / "cv")]) == 0
+    assert len(built) == len(read)
 
 
 @pytest.mark.parametrize("target", ["AreaA/office_1.txt", "vocab.txt"])

@@ -19,6 +19,7 @@ from pointmeta.data import (
     Block,
     Room,
     SyntheticAreaSpec,
+    count_blocks,
     export_ply,
     featurize_block,
     generate_synthetic_area,
@@ -587,13 +588,13 @@ def test_load_dataset_reads_the_named_areas_in_name_order_and_ignores_repeats(tm
     write_vocab(DEFAULT_CLASSES, tmp_path / "vocab.txt")
     for name in ("AreaA", "AreaB", "AreaC"):
         write_room(room, tmp_path / name / f"{room.name}.txt")
-    read, load_area = [], data_module.load_area
+    read, read_rooms = [], data_module.read_rooms
 
     def recorded(directory, vocab):
         read.append(Path(directory).name)
-        return load_area(directory, vocab)
+        return read_rooms(directory, vocab)
 
-    monkeypatch.setattr(data_module, "load_area", recorded)
+    monkeypatch.setattr(data_module, "read_rooms", recorded)
     loaded, vocab = load_dataset(tmp_path, ("AreaC", "AreaA", "AreaC"))
     assert [a.name for a in loaded] == read == ["AreaA", "AreaC"] and vocab == DEFAULT_CLASSES
     del read[:]
@@ -867,6 +868,6 @@ def test_partition_property_random_rooms(seed):
     room = make_room(xyz, rgb=rng.integers(0, 256, size=(n, 3)))
     blocks = partition_blocks(room)
     assert sum(len(b) for b in blocks) == n
-    assert len({b.grid for b in blocks}) == len(blocks)
+    assert [b.grid for b in blocks] == sorted({b.grid for b in blocks}) and count_blocks(room) == len(blocks)
     for block in blocks:
         assert featurize_block(block).tobytes() == room_wide_features(block, room).tobytes()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from pointmeta.cli import main
 from pointmeta.data import _CHUNK_ROWS
 
-SPEC = {"density": 40, "areas": [{"name": "AreaA", "rooms": {"office": 2, "hallway": 2}}]}
+SPEC = {"density": 40, "areas": [{"name": name, "rooms": {"office": 2, "hallway": 2}} for name in ("AreaA", "AreaB")]}
 ROOMS = ("hallway_1", "hallway_2", "office_1", "office_2")
 CLASSES = 6  # the classes synth writes to vocab.txt by default
 RUN_CONFIG = {
@@ -27,17 +27,20 @@ RUN_CONFIG = {
     "episode": {"ways": 2, "shots": 2},
     "model": {"mlp1_widths": [4], "mlp2_widths": [8], "seg_head_widths": [4]},
     "meta": {"epochs": 1, "steps_per_epoch": 0},
+    "eval": {"episodes": 1},
 }
 
 
 def commands(tmp: Path, room: Path, checkpoint: Path, palette=None) -> list:
-    """(command, argv) of every command that reads the dataset ``tmp/data``; pretrain's config is written to tmp."""
+    """(command, argv) of every command that reads the dataset ``tmp/data``; the run config of pretrain and
+    cross-validate is written to tmp."""
     data = tmp / "data"
     config = tmp / "run.json"
     config.write_text(json.dumps({**RUN_CONFIG, "data": {**RUN_CONFIG["data"], "root": str(data)}}))
     return [
         ("ingest", ["--data", data]),
         ("pretrain", ["--config", config, "--out", tmp / "run"]),
+        ("cross-validate", ["--config", config, "--out", tmp / "cv"]),
         ("adapt-eval", ["--checkpoint", checkpoint, "--data", data, "--shots", 2, "--episodes", 1, "--out", tmp / "eval"]),
         ("export-ply", ["--checkpoint", checkpoint, "--room", room, "--vocab", data / "vocab.txt",
                         *(["--palette", palette] if palette else []), "--out", tmp / "ply"]),
@@ -53,7 +56,7 @@ def run(command: str, argv) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def clean(tmp_path_factory) -> Path:
-    """A one-area dataset under ``data/`` that every command reads without error, and ``run/ckpt_epoch1``."""
+    """A two-area dataset under ``data/`` that every command reads without error, and ``run/ckpt_epoch1``."""
     root = tmp_path_factory.mktemp("contract")
     (root / "spec.json").write_text(json.dumps(SPEC))
     assert run("synth", ["--spec", root / "spec.json", "--out", root / "data"]) == (0, "")
@@ -135,7 +138,7 @@ def break_room(tmp: Path, mutation) -> Path:
 @given(room_mutations())
 @settings(max_examples=200, deadline=None)
 def test_broken_room_file_contract(clean, mutation):
-    # ingest, pretrain and adapt-eval meet the room in their room stream, export-ply as its --room
+    # ingest, pretrain, cross-validate and adapt-eval meet the room in their room stream, export-ply as its --room
     event(mutation[0])
     check_broken(clean, lambda tmp: break_room(tmp, mutation))
 
@@ -219,8 +222,10 @@ def test_vocab_of_another_size_than_the_checkpoint_names_the_vocab(clean, tmp_pa
     shutil.copytree(clean / "data", tmp_path / "data")
     vocab = tmp_path / "data" / "vocab.txt"
     vocab.write_text("".join(f"{i} class{i}\n" for i in range(size)))
-    loading = commands(tmp_path, tmp_path / "data/AreaA/office_1.txt", clean / "run/ckpt_epoch1")[2:]
-    for command, argv in loading:  # adapt-eval and export-ply, which load the checkpoint
+    loading = [(command, argv) for command, argv in commands(tmp_path, tmp_path / "data/AreaA/office_1.txt",
+                                                             clean / "run/ckpt_epoch1")
+               if command in ("adapt-eval", "export-ply")]  # the commands that load the checkpoint
+    for command, argv in loading:
         code, err = run(command, argv)
         assert code == 2 and f"{vocab}: vocabulary size {size} != checkpoint classes {CLASSES}" in err, (command, err)
 
